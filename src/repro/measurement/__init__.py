@@ -22,7 +22,7 @@ from .repair import (
     repair_ip_gaps,
     resolve_as_gaps,
 )
-from .traceroute import Traceroute, TracerouteEngine, TracerouteParams
+from .traceroute import OutcomeTracer, Traceroute, TracerouteEngine, TracerouteParams
 from .verfploeter import VerfploeterParams, VerfploeterProber
 
 __all__ = [
@@ -36,6 +36,7 @@ __all__ = [
     "Traceroute",
     "TracerouteEngine",
     "TracerouteParams",
+    "OutcomeTracer",
     "repair_ip_gaps",
     "map_hops_to_ases",
     "resolve_as_gaps",

@@ -75,11 +75,12 @@ class AtlasProbeFleet:
 
     def measure(self, outcome: RoutingOutcome) -> List[MeasurementRound]:
         """Collect all rounds of traceroutes for one configuration."""
+        tracer = self.engine.tracer(outcome)
         rounds: List[MeasurementRound] = []
         for round_index in range(self.rounds_per_config):
             traceroutes = []
             for probe_as in self.probe_ases:
-                trace = self.engine.measure(outcome, probe_as, round_index)
+                trace = tracer.measure(probe_as, round_index)
                 if trace is not None:
                     traceroutes.append(trace)
             rounds.append(

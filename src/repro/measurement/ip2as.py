@@ -89,6 +89,10 @@ AS_BLOCK_BASE = 16 << 24
 ORIGIN_PREFIX = Prefix.parse("184.164.224.0/24")
 #: Base of synthetic IXP peering-LAN /24s.
 IXP_BLOCK_BASE = 206 << 24
+#: Addresses :class:`IPToASMapper` remembers before it starts afresh.
+#: A testbed's traceroutes use a few thousand distinct addresses; the
+#: bound only matters for callers querying arbitrary address space.
+OWNER_MEMO_LIMIT = 1 << 16
 
 
 class AddressPlan:
@@ -160,6 +164,10 @@ class IPToASMapper:
     exactly the real-world error this data source carries into AS-path
     inference.
 
+    The trie is the source of truth; each answer it gives is memoized per
+    address (up to :data:`OWNER_MEMO_LIMIT` addresses), since traceroutes
+    keep crossing the same router interfaces.
+
     Args:
         plan: the address plan to index.
         ixp_prefixes: optional IXP peering-LAN prefixes mapped to None
@@ -182,14 +190,42 @@ class IPToASMapper:
         self._trie.insert(plan.announced_prefix, plan.origin_asn)
         for prefix in ixp_prefixes:
             self._trie.insert(prefix, self.IXP)
+        self._owners = _OwnerMemo(self._trie)
 
     def map_address(self, address: int) -> Optional[ASN]:
         """AS owning ``address``; None for unmapped or IXP space."""
-        value = self._trie.lookup(address)
+        value = self._owners[address]
         if value == self.IXP:
             return None
         return value
 
+    def map_addresses(self, addresses: Iterable[Optional[int]]) -> List[Optional[ASN]]:
+        """:meth:`map_address` of each address; None entries stay None."""
+        owners = self._owners
+        ixp = self.IXP
+        return [
+            None if address is None or (owner := owners[address]) == ixp else owner
+            for address in addresses
+        ]
+
     def is_ixp_address(self, address: int) -> bool:
         """True if ``address`` falls in registered IXP space."""
-        return self._trie.lookup(address) == self.IXP
+        return self._owners[address] == self.IXP
+
+
+class _OwnerMemo(dict):
+    """Address → trie value (an ASN, :attr:`IPToASMapper.IXP` or None).
+
+    Filled on first lookup of each address; starts afresh once it holds
+    :data:`OWNER_MEMO_LIMIT` addresses.
+    """
+
+    def __init__(self, trie: PrefixTrie) -> None:
+        super().__init__()
+        self._trie = trie
+
+    def __missing__(self, address: int) -> object:
+        if len(self) >= OWNER_MEMO_LIMIT:
+            self.clear()
+        value = self[address] = self._trie.lookup(address)
+        return value

@@ -47,21 +47,46 @@ def build_gap_index(
     traceroute with only responsive hops between them, record the hop
     sequence strictly between ``a`` and ``b``.  Step 1 of the repair uses
     this to fill unresponsive gaps bracketed by ``a`` and ``b``.
+
+    Only maximal responsive runs contribute, and the pairs starting at a
+    hop depend only on the rest of its run.  Traceroutes toward one prefix
+    share those tails heavily (every round repeats the same paths, and
+    paths merge on their way to the origin), so each distinct tail is
+    indexed once.  Skipped tails only repeat entries already present,
+    which keeps the key order of a trace-by-trace walk.
     """
-    index: Dict[Tuple[int, int], Set[Tuple[int, ...]]] = defaultdict(set)
+    index: Dict[Tuple[int, int], Set[Tuple[int, ...]]] = {}
+    seen_tails: Set[Tuple[int, ...]] = set()
     for trace in traceroutes:
-        hops = trace.hops
-        for i, first in enumerate(hops):
-            if first is None:
-                continue
-            segment: List[int] = []
-            for j in range(i + 1, len(hops)):
-                hop = hops[j]
-                if hop is None:
-                    break
-                index[(first, hop)].add(tuple(segment))
-                segment.append(hop)
-    return dict(index)
+        for run in _responsive_runs(trace.hops):
+            for start in range(len(run) - 1):
+                tail = run[start:]
+                if tail in seen_tails:
+                    break  # and so were all of its shorter tails
+                seen_tails.add(tail)
+                first = tail[0]
+                for end in range(1, len(tail)):
+                    key = (first, tail[end])
+                    segments = index.get(key)
+                    if segments is None:
+                        index[key] = {tail[1:end]}
+                    else:
+                        segments.add(tail[1:end])
+    return index
+
+
+def _responsive_runs(hops: Tuple[Optional[int], ...]) -> List[Tuple[int, ...]]:
+    """Maximal runs of two or more consecutive responsive hops."""
+    runs = []
+    start = 0
+    for end, hop in enumerate(hops):
+        if hop is None:
+            if end - start > 1:
+                runs.append(hops[start:end])
+            start = end + 1
+    if len(hops) - start > 1:
+        runs.append(hops[start:])
+    return runs
 
 
 def repair_ip_gaps(
@@ -69,6 +94,8 @@ def repair_ip_gaps(
     gap_index: Mapping[Tuple[int, int], Set[Tuple[int, ...]]],
 ) -> Traceroute:
     """Step 1: fill unresponsive runs using unique segments from other traces."""
+    if None not in trace.hops:
+        return trace
     hops = list(trace.hops)
     repaired: List[Optional[int]] = []
     i = 0
@@ -106,15 +133,7 @@ def map_hops_to_ases(
     trace: Traceroute, mapper: IPToASMapper
 ) -> List[Optional[ASN]]:
     """Map each hop to an AS; IXP and unmapped hops become UNKNOWN."""
-    mapped: List[Optional[ASN]] = []
-    for hop in trace.hops:
-        if hop is None:
-            mapped.append(UNKNOWN)
-        elif mapper.is_ixp_address(hop):
-            mapped.append(UNKNOWN)
-        else:
-            mapped.append(mapper.map_address(hop))
-    return mapped
+    return mapper.map_addresses(trace.hops)
 
 
 def build_bgp_segment_index(

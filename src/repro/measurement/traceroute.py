@@ -21,7 +21,7 @@ from __future__ import annotations
 import random
 import zlib
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..bgp.simulator import RoutingOutcome
 from ..errors import MeasurementError, SimulationError
@@ -99,7 +99,13 @@ class TracerouteParams:
 
 
 class TracerouteEngine:
-    """Simulates traceroutes along a routing outcome's forwarding paths."""
+    """Simulates traceroutes along a routing outcome's forwarding paths.
+
+    Each AS's router chain (its router count and interface addresses) is
+    a pure function of the AS and the seed, so it is derived once per
+    engine, on first use.  Work shared by every probe of one routing
+    outcome lives in an :class:`OutcomeTracer` (see :meth:`tracer`).
+    """
 
     def __init__(
         self,
@@ -112,16 +118,32 @@ class TracerouteEngine:
         self.plan = plan
         self.ixps = ixps or IXPRegistry()
         self.params = params or TracerouteParams()
+        self._chains: Dict[ASN, Tuple[Tuple[int, ...], Tuple[int, ...]]] = {}
 
     def _routers_in(self, asn: ASN) -> int:
         digest = zlib.crc32(f"routers|{asn}|{self.params.seed}".encode("ascii"))
         return 1 + digest % self.params.max_routers_per_as
 
-    def _rng_for(self, probe_as: ASN, round_index: int, config_key: str) -> random.Random:
-        digest = zlib.crc32(
-            f"probe|{probe_as}|{round_index}|{config_key}|{self.params.seed}".encode("ascii")
-        )
-        return random.Random(digest)
+    def _hop_slot(self, asn: ASN, router_index: int) -> int:
+        """Stable interface index so the same router keeps its address."""
+        digest = zlib.crc32(f"slot|{asn}|{router_index}|{self.params.seed}".encode("ascii"))
+        return digest % 1024 + router_index
+
+    def _chain(self, asn: ASN) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+        """Hop slots and interface addresses of ``asn``'s router chain."""
+        chain = self._chains.get(asn)
+        if chain is None:
+            slots = tuple(
+                self._hop_slot(asn, router_index)
+                for router_index in range(self._routers_in(asn))
+            )
+            addresses = tuple(self.plan.router_address(asn, slot) for slot in slots)
+            chain = self._chains[asn] = (slots, addresses)
+        return chain
+
+    def tracer(self, outcome: RoutingOutcome) -> "OutcomeTracer":
+        """A tracer sharing per-outcome work across many probes."""
+        return OutcomeTracer(self, outcome)
 
     def measure(
         self,
@@ -135,52 +157,99 @@ class TracerouteEngine:
         region lost reachability under a withdrawal) — matching a real
         measurement timing out entirely.
         """
-        params = self.params
-        rng = self._rng_for(probe_as, round_index, outcome.config.describe())
+        return self.tracer(outcome).measure(probe_as, round_index)
+
+
+class OutcomeTracer:
+    """Traceroutes toward the prefix under one routing outcome.
+
+    Holds what every probe of the outcome shares: the configuration key
+    of the per-probe seeds, the forwarding path of each AS (computed on
+    first use) and one PRNG, reseeded per probe.  Reseeding with the same
+    integer yields the same stream a fresh ``random.Random`` would, so a
+    measurement does not depend on which probes ran before it — but the
+    PRNG makes a tracer single-threaded: give each thread its own.
+    """
+
+    def __init__(self, engine: TracerouteEngine, outcome: RoutingOutcome) -> None:
+        self.engine = engine
+        self.outcome = outcome
+        self._seed_suffix = f"|{outcome.config.describe()}|{engine.params.seed}"
+        self._paths: Dict[ASN, Optional[ASPath]] = {}
+        self._rng = random.Random()
+
+    def _forwarding_path(self, asn: ASN) -> Optional[ASPath]:
+        """The outcome's forwarding path from ``asn``; None without one."""
+        try:
+            return self._paths[asn]
+        except KeyError:
+            pass
+        try:
+            path: Optional[ASPath] = self.outcome.forwarding_path(asn)
+        except SimulationError:
+            path = None
+        self._paths[asn] = path
+        return path
+
+    def measure(self, probe_as: ASN, round_index: int = 0) -> Optional[Traceroute]:
+        """Run one traceroute; see :meth:`TracerouteEngine.measure`."""
+        engine = self.engine
+        params = engine.params
+        rng = self._rng
+        rng.seed(
+            zlib.crc32(
+                f"probe|{probe_as}|{round_index}{self._seed_suffix}".encode("ascii")
+            )
+        )
+        random_unit = rng.random
         measured_as = probe_as
-        if params.path_error_rate and rng.random() < params.path_error_rate:
-            neighbors = sorted(self.graph.neighbors(probe_as))
-            neighbors = [n for n in neighbors if n in outcome.routes]
+        if params.path_error_rate and random_unit() < params.path_error_rate:
+            neighbors = sorted(engine.graph.neighbors(probe_as))
+            neighbors = [n for n in neighbors if n in self.outcome.routes]
             if neighbors:
                 measured_as = rng.choice(neighbors)
-        try:
-            as_path = outcome.forwarding_path(measured_as)
-        except SimulationError:
+        as_path = self._forwarding_path(measured_as)
+        if as_path is None:
             return None
         if (
             params.divergence_rate
             and len(as_path) > 3
-            and rng.random() < params.divergence_rate
+            and random_unit() < params.divergence_rate
         ):
-            as_path = self._diverge(outcome, as_path, rng)
+            as_path = self._diverge(as_path, rng)
 
-        target = self.plan.target_address()
+        unresponsive_rate = params.unresponsive_rate
+        border_sharing_rate = params.border_sharing_rate
+        ixps = engine.ixps
+        chain_of = engine._chain
+        target = engine.plan.target_address()
         hops: List[Optional[int]] = []
         previous_as: Optional[ASN] = None
         for asn in as_path[:-1]:  # the origin is represented by the target hop
             if previous_as is not None:
-                ixp = self.ixps.ixp_for_link(previous_as, asn)
+                ixp = ixps.ixp_for_link(previous_as, asn)
                 if ixp is not None:
                     hops.append(
                         None
-                        if rng.random() < params.unresponsive_rate
-                        else self.ixps.lan_address(ixp, asn)
+                        if random_unit() < unresponsive_rate
+                        else ixps.lan_address(ixp, asn)
                     )
-            for router_index in range(self._routers_in(asn)):
-                if rng.random() < params.unresponsive_rate:
+            slots, addresses = chain_of(asn)
+            for router_index, address in enumerate(addresses):
+                if random_unit() < unresponsive_rate:
                     hops.append(None)
                     continue
-                owner = asn
                 if (
                     router_index == 0
                     and previous_as is not None
-                    and rng.random() < params.border_sharing_rate
+                    and random_unit() < border_sharing_rate
                 ):
-                    owner = previous_as
-                hops.append(self.plan.router_address(owner, self._hop_slot(asn, router_index)))
+                    # Entry interface numbered from the upstream's space.
+                    address = engine.plan.router_address(previous_as, slots[0])
+                hops.append(address)
             previous_as = asn
 
-        if params.truncation_rate and rng.random() < params.truncation_rate and hops:
+        if params.truncation_rate and random_unit() < params.truncation_rate and hops:
             cut = rng.randrange(1, len(hops) + 1)
             return Traceroute(
                 probe_as=probe_as,
@@ -193,9 +262,7 @@ class TracerouteEngine:
             probe_as=probe_as, target=target, hops=tuple(hops), reached_target=True
         )
 
-    def _diverge(
-        self, outcome: RoutingOutcome, as_path: ASPath, rng: random.Random
-    ) -> ASPath:
+    def _diverge(self, as_path: ASPath, rng: random.Random) -> ASPath:
         """Fork the path at an intermediate AS onto a neighbor's best path.
 
         Models per-flow routing diversity inside large ASes: the packet
@@ -207,23 +274,18 @@ class TracerouteEngine:
         fork_as = as_path[fork_index]
         prefix = as_path[: fork_index + 1]
         default_next = as_path[fork_index + 1]
+        routes = self.outcome.routes
         neighbors = [
             neighbor
-            for neighbor in sorted(self.graph.neighbors(fork_as))
-            if neighbor != default_next and neighbor in outcome.routes
+            for neighbor in sorted(self.engine.graph.neighbors(fork_as))
+            if neighbor != default_next and neighbor in routes
         ]
         rng.shuffle(neighbors)
         for neighbor in neighbors:
-            try:
-                suffix = outcome.forwarding_path(neighbor)
-            except SimulationError:
+            suffix = self._forwarding_path(neighbor)
+            if suffix is None:
                 continue
             candidate = prefix + suffix
             if len(candidate) == len(set(candidate)):
                 return candidate
         return as_path
-
-    def _hop_slot(self, asn: ASN, router_index: int) -> int:
-        """Stable interface index so the same router keeps its address."""
-        digest = zlib.crc32(f"slot|{asn}|{router_index}|{self.params.seed}".encode("ascii"))
-        return digest % 1024 + router_index
