@@ -179,6 +179,7 @@ def test_engine_large_graph_fixpoint(capsys):
     from repro.topology.peering import PAPER_MUXES, OriginNetwork, PeeringLink
     from repro.topology.relationships import Relationship
     from repro.topology.serialization import dumps_as_rel, loads_as_rel
+    from tests.sim_oracle import ReferenceSimulator
 
     lines, transit = _synthesize_as_rel_lines(
         LARGE_NUM_TIER1, LARGE_NUM_TRANSIT, LARGE_NUM_STUB, LARGE_SEED
@@ -211,7 +212,7 @@ def test_engine_large_graph_fixpoint(capsys):
         announced=frozenset(origin.link_ids[:4]), label="subset-4"
     )
 
-    sim = RoutingSimulator(graph, origin, policy, core="indexed")
+    sim = RoutingSimulator(graph, origin, policy)
     start = time.perf_counter()
     cold_outcome = sim.simulate(baseline)
     cold_time = time.perf_counter() - start  # includes the one-off compile
@@ -219,7 +220,7 @@ def test_engine_large_graph_fixpoint(capsys):
     sim.simulate(subset)
     compiled_time = time.perf_counter() - start
 
-    legacy = RoutingSimulator(graph, origin, policy, core="legacy")
+    legacy = ReferenceSimulator(graph, origin, policy)
     start = time.perf_counter()
     legacy_outcome = legacy.simulate(baseline)
     legacy_time = time.perf_counter() - start
@@ -227,8 +228,8 @@ def test_engine_large_graph_fixpoint(capsys):
     assert cold_outcome.converged
     # The overwhelming majority of a connected graph must hold a route.
     assert len(cold_outcome.routes) > 0.95 * len(graph)
-    # The cores agree bit-for-bit at scale, and compiling pays for itself
-    # within this single fixpoint.
+    # The indexed core agrees bit-for-bit with the reference oracle at
+    # scale, and compiling pays for itself within this single fixpoint.
     assert cold_outcome.routes == legacy_outcome.routes
     assert cold_outcome.passes == legacy_outcome.passes
     assert cold_time < legacy_time

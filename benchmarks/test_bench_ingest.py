@@ -8,7 +8,7 @@ hot paths feed the fleet:
   ``drain`` cycles over :class:`PacketBatch` events with full drop
   accounting; and
 * the merged fleet control stream — ``merge_streams`` over per-tenant
-  ``FleetEvent`` streams plus ``iter_stream`` validation.
+  ``FleetEvent`` streams plus the runtime's minute-monotonicity check.
 
 Both are measured in events/s and recorded to ``BENCH_ingest.json``
 along with progress toward the 1M-events/s headline.  The assertion
@@ -28,7 +28,7 @@ import time
 
 import pytest
 
-from repro.fleet import FleetSpec, FleetRuntime, iter_stream, merge_streams, scripted_stream
+from repro.fleet import FleetSpec, FleetRuntime, merge_streams, scripted_stream
 from repro.live.events import PacketBatch
 from repro.live.ingest import BoundedIngestQueue
 from repro.topology.generator import TopologyParams
@@ -101,7 +101,10 @@ def _stream_merge_once() -> "tuple[float, int]":
     start = time.perf_counter()
     for _ in range(STREAM_ROUNDS):
         merged = merge_streams(*streams)
-        for _event in iter_stream(merged):
+        last = 0.0
+        for event in merged:
+            assert event.minute >= last
+            last = event.minute
             total += 1
     elapsed = time.perf_counter() - start
     expected = STREAM_ROUNDS * sum(len(stream) for stream in streams)

@@ -1,14 +1,15 @@
 """Integer-indexed, frontier-driven core for BGP route propagation.
 
-:class:`~repro.bgp.simulator.RoutingSimulator`'s reference implementation
-keeps per-AS state in dictionaries keyed by ASN and re-derives policy
-answers (LocalPref, IGP cost, tiebreak salts, export filters) through
-method calls on every candidate evaluation of every Gauss-Seidel pass.
-That is perfect as an executable specification and hopeless at CAIDA
-scale (~75k ASes): a single fixpoint touches every AS every pass even
-when only a handful of routes are still moving.
+The reference Gauss-Seidel sweep (``tests/sim_oracle.py``) keeps per-AS
+state in dictionaries keyed by ASN and re-derives policy answers
+(LocalPref, IGP cost, tiebreak salts, export filters) through method
+calls on every candidate evaluation of every pass.  That is perfect as
+an executable specification and hopeless at CAIDA scale (~75k ASes): a
+single fixpoint touches every AS every pass even when only a handful of
+routes are still moving.
 
-This module compiles the *static* part of a simulation once per
+This module, :class:`~repro.bgp.simulator.RoutingSimulator`'s only
+propagation core, compiles the *static* part of a simulation once per
 simulator and then propagates each configuration over dense integer
 state:
 
@@ -43,8 +44,8 @@ export semantics.  Policy subclasses that override only per-AS scalars
 (``salt_for``, ``local_pref``, ``igp_cost``, ``loop_prevention_enabled``)
 are compiled faithfully — the compiler calls those methods.  Subclasses
 that override ``accepts``/``exports`` themselves cannot be compiled;
-:func:`policy_is_compilable` detects that and the simulator falls back
-to the reference implementation.
+:func:`uncompilable_overrides` names them and the simulator rejects such
+policies.
 """
 
 from __future__ import annotations
@@ -68,22 +69,21 @@ _RELATIONSHIPS = (
     Relationship.PROVIDER,
 )
 
-_BASE_ACCEPTS = PolicyModel.accepts
-_BASE_EXPORTS = PolicyModel.exports
 
+def uncompilable_overrides(policy: PolicyModel) -> Tuple[str, ...]:
+    """Names of the import/export methods ``policy``'s class overrides.
 
-def policy_is_compilable(policy: PolicyModel) -> bool:
-    """True when ``policy``'s import/export *logic* is the base model's.
-
-    The compiler inlines the base ``accepts``/``exports`` semantics, so a
-    subclass overriding either must run through the reference simulator
-    instead.  Overrides of the scalar hooks (``salt_for``,
-    ``local_pref``, ``igp_cost``, ``loop_prevention_enabled``) are fine:
-    the compiler calls them per AS/edge and bakes in their answers.
+    The compiler inlines the base ``accepts``/``exports`` semantics, so
+    a subclass overriding either cannot be compiled.  Overrides of the
+    scalar hooks (``salt_for``, ``local_pref``, ``igp_cost``,
+    ``loop_prevention_enabled``) are fine: the compiler calls them per
+    AS/edge and bakes in their answers.
     """
-    return (
-        type(policy).accepts is _BASE_ACCEPTS
-        and type(policy).exports is _BASE_EXPORTS
+    cls = type(policy)
+    return tuple(
+        name
+        for name in ("accepts", "exports")
+        if getattr(cls, name) is not getattr(PolicyModel, name)
     )
 
 
@@ -92,8 +92,8 @@ class CompiledTopology:
 
     Built once by :meth:`compile`; :meth:`propagate` then runs any number
     of configurations over it.  The compiled tables are derived purely
-    from ``(graph, origin, policy)``, so a compiled core and the
-    reference simulator over the same substrate are interchangeable.
+    from ``(graph, origin, policy)``, so they can be rebuilt anywhere
+    (worker processes compile their own copy).
     """
 
     __slots__ = (
@@ -136,10 +136,10 @@ class CompiledTopology:
             graph: topology including the attached origin AS.
             origin: the announcing origin network.
             policy: a policy whose import/export logic is compilable
-                (see :func:`policy_is_compilable`).
-            visit_order: the reference simulator's Gauss-Seidel visit
-                order (all ASes except the origin), reused verbatim so
-                trajectories match.
+                (see :func:`uncompilable_overrides`).
+            visit_order: the simulator's Gauss-Seidel visit order (all
+                ASes except the origin), reused verbatim so trajectories
+                match the reference sweep's.
         """
         self = cls()
         origin_asn = origin.asn

@@ -735,12 +735,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
                 sys.stderr.write(render_fleet_table(reports) + "\n")
 
     try:
-        if args.serial:
-            report = runtime.run(on_window=on_window)
-        else:
-            import asyncio
-
-            report = asyncio.run(runtime.run_async(on_window=on_window))
+        report = runtime.run(on_window=on_window)
     finally:
         runtime.close()
     _export_obs(args, obs, log)
@@ -1446,12 +1441,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=[],
         metavar="ATTACK:MINUTE",
         help="remove attack #N's shard at this minute (repeatable)",
-    )
-    fleet.add_argument(
-        "--serial",
-        action="store_true",
-        help="use the serial driver instead of the asyncio front end "
-        "(byte-identical results)",
     )
     fleet.add_argument(
         "--table-every",

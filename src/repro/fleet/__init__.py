@@ -9,8 +9,7 @@ process: frozen campaign specs with derived per-shard seeds
 (:mod:`~repro.fleet.scheduler`), per-attack shards with crash
 containment and checkpoint resume (:mod:`~repro.fleet.shard`),
 tenant-tagged observability views (:mod:`~repro.fleet.obs`), and the
-serial/asyncio drivers tying them together
-(:mod:`~repro.fleet.runtime`).
+serial driver tying them together (:mod:`~repro.fleet.runtime`).
 """
 
 from .obs import TaggedBus, TaggedLogbook, TaggedRegistry, shard_observability
@@ -42,7 +41,6 @@ from .stream import (
     EVICT,
     LAUNCH,
     FleetEvent,
-    iter_stream,
     launch_event,
     merge_streams,
     scripted_stream,
@@ -83,7 +81,6 @@ __all__ = [
     "derive_seed",
     "derive_tenant_seed",
     "fleet_digest",
-    "iter_stream",
     "launch_event",
     "merge_streams",
     "scripted_stream",

@@ -6,9 +6,9 @@ for *many* customer origin networks at once, each possibly under several
 simultaneous spoofed-traffic attacks.  The runtime
 
 * consumes one merged, timestamped event stream (attack launches plus
-  operator actions — see :mod:`repro.fleet.stream`) through a bounded
-  front-end queue (asyncio driver) or directly (serial driver); both
-  drivers apply the identical sequence and produce identical reports,
+  operator actions — see :mod:`repro.fleet.stream`) in order, through
+  one serial driver (:meth:`FleetRuntime.run`, or :meth:`run_until` for
+  bounded epochs),
 * routes each event to a per-attack :class:`~repro.fleet.shard.AttackShard`
   keyed by ``(tenant, prefix)``,
 * interleaves shard work under the
@@ -36,7 +36,6 @@ function of the spec and event stream.
 
 from __future__ import annotations
 
-import asyncio
 import hashlib
 import json
 import os
@@ -60,7 +59,6 @@ from .stream import (
     EVICT,
     LAUNCH,
     FleetEvent,
-    iter_stream,
     scripted_stream,
 )
 
@@ -592,41 +590,6 @@ class FleetRuntime:
             self._cursor += 1
         while self._step_once(on_window, horizon=minute):
             pass
-
-    async def run_async(
-        self, on_window: Optional[WindowCallback] = None
-    ) -> FleetReport:
-        """Asyncio driver: a pump task feeds the merged stream through a
-        bounded queue (backpressure: the pump blocks while the
-        dispatcher is behind) and the dispatcher interleaves shard work
-        between events, yielding to the loop after every unit.
-
-        Applies the identical event/step sequence as :meth:`run`, so the
-        resulting report — digests included — is byte-identical.
-        """
-        queue: "asyncio.Queue" = asyncio.Queue(self.spec.frontend_queue)
-        remaining = self.events[self._cursor :]
-
-        async def pump() -> None:
-            for event in iter_stream(remaining):
-                await queue.put(event)
-            await queue.put(None)
-
-        pump_task = asyncio.ensure_future(pump())
-        try:
-            while True:
-                event = await queue.get()
-                if event is None:
-                    break
-                while self._behind(event) and self._step_once(on_window):
-                    await asyncio.sleep(0)
-                self._apply(event)
-                self._cursor += 1
-            while self._step_once(on_window):
-                await asyncio.sleep(0)
-        finally:
-            await pump_task
-        return self.report()
 
     # -- reporting / teardown -------------------------------------------
 

@@ -126,8 +126,6 @@ class FleetSpec:
             services at once (0 = unbounded).  Pending launches queue in
             fair-share order, which is the fleet's backpressure onto the
             ingest stream.
-        frontend_queue: bounded capacity of the asyncio front end's
-            event queue.
     """
 
     seed: int = 0
@@ -149,7 +147,6 @@ class FleetSpec:
     num_probes: int = 120
     quotas: Tuple[Tuple[str, float], ...] = ()
     max_active: int = 0
-    frontend_queue: int = 16
 
     def __post_init__(self) -> None:
         if self.tenants < 1:
@@ -165,8 +162,6 @@ class FleetSpec:
             raise FleetError("max_active cannot be negative")
         if self.checkpoint_keep < 1:
             raise FleetError("checkpoint_keep must retain at least one copy")
-        if self.frontend_queue < 1:
-            raise FleetError("the front-end queue needs capacity >= 1")
         if self.launch_stagger_minutes < 0:
             raise FleetError("launch stagger cannot be negative")
         for tenant, weight in self.quotas:

@@ -1,11 +1,11 @@
 """The fleet's merged, timestamped event stream.
 
-The front end of the fleet runtime consumes one ordered stream of
-:class:`FleetEvent` s — attack launches and operator/control actions —
-merged across tenants.  :func:`merge_streams` does the merging with a
-deterministic total order (minute, then shard key, then arrival rank),
-so the same spec always yields the same stream; :func:`scripted_stream`
-builds the canonical stream for a :class:`~repro.fleet.spec.FleetSpec`:
+The fleet runtime consumes one ordered stream of :class:`FleetEvent` s
+— attack launches and operator/control actions — merged across tenants.
+:func:`merge_streams` does the merging with a deterministic total order
+(minute, then shard key, then arrival rank), so the same spec always
+yields the same stream; :func:`scripted_stream` builds the canonical
+stream for a :class:`~repro.fleet.spec.FleetSpec`:
 every attack's launch at its stagger offset, interleaved with any
 scripted control events (crash/drain/evict/checkpoint).
 
@@ -13,12 +13,13 @@ Between events the runtime advances shards; an event's ``minute`` is a
 barrier on the *simulated* clock of the shard it targets (fleet time is
 per-shard simulated time, never wall time), which keeps control actions
 — "crash tenant-01's second attack at minute 240" — byte-deterministic.
+The runtime rejects a hand-built stream that is not sorted by minute.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence
 
 from ..errors import FleetError
 from .spec import AttackSpec, FleetSpec, ShardKey
@@ -120,16 +121,3 @@ def scripted_stream(
 ) -> List[FleetEvent]:
     """The canonical merged stream for a spec: launches + control events."""
     return merge_streams([launch_event(a) for a in spec.attacks()], controls)
-
-
-def iter_stream(events: Iterable[FleetEvent]) -> Iterator[FleetEvent]:
-    """Validate monotonicity while yielding (guards hand-built streams)."""
-    last = 0.0
-    for event in events:
-        if event.minute < last:
-            raise FleetError(
-                "fleet stream is not sorted by minute "
-                f"({event.minute} after {last}); merge it first"
-            )
-        last = event.minute
-        yield event

@@ -14,9 +14,9 @@ what they capture — measured ``*_seconds`` fields are stripped from bus
 events and log fields, span durations are dropped — and bundles are
 canonical JSON with no wall-clock timestamps, pids, or absolute paths.
 Two replays of the same seeded scenario that crash at the same logical
-point therefore dump *byte-identical* bundles, across interpreter hash
-seeds and across the serial/asyncio fleet drivers; the bundle checksum
-doubles as the crash's forensic fingerprint.
+point therefore dump *byte-identical* bundles, under any interpreter
+hash seed; the bundle checksum doubles as the crash's forensic
+fingerprint.
 
 Dump triggers wired across the repo:
 

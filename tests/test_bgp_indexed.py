@@ -1,13 +1,14 @@
-"""Equivalence suite: the indexed core is bit-identical to the legacy core.
+"""Equivalence suite: the indexed core is bit-identical to the reference sweep.
 
 The indexed frontier core (:mod:`repro.bgp.indexed`) earns the right to
-be the default by reproducing the reference simulator *exactly* — same
+be the only core by reproducing the reference oracle
+(``tests/sim_oracle.py``) *exactly* — same
 routes (field for field), same catchments, same pass counts, same
 decision-change totals, same convergence flags — over randomized
 topologies, announcement configurations, warm starts, and engine worker
 counts.  These are seeded property-style tests: each trial draws a fresh
 configuration shape (announced subsets, prepending, poisoning, no-export
-communities) and both cores must agree on everything observable.
+communities) and both must agree on everything observable.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import random
 import pytest
 
 from repro.bgp.announcement import AnnouncementConfig, anycast_all
-from repro.bgp.indexed import CompiledTopology, policy_is_compilable
+from repro.bgp.indexed import CompiledTopology, uncompilable_overrides
 from repro.bgp.policy import PolicyModel
 from repro.bgp.simulator import RoutingSimulator
 from repro.core.engine import SimulationEngine
@@ -25,6 +26,7 @@ from repro.core.pipeline import build_testbed
 from repro.errors import SimulationError
 from repro.topology.generator import TopologyParams, generate_topology
 from repro.topology.peering import attach_origin
+from tests.sim_oracle import ReferenceSimulator
 
 
 def _fresh_topology(seed):
@@ -91,10 +93,8 @@ def test_indexed_equals_legacy_on_random_configs(seed):
         testbed.origin,
         testbed.policy,
     )
-    indexed = RoutingSimulator(graph, origin, policy, core="indexed")
-    legacy = RoutingSimulator(graph, origin, policy, core="legacy")
-    assert indexed.effective_core == "indexed"
-    assert legacy.effective_core == "legacy"
+    indexed = RoutingSimulator(graph, origin, policy)
+    legacy = ReferenceSimulator(graph, origin, policy)
 
     rng = random.Random(seed * 101 + 5)
     previous = None
@@ -121,8 +121,8 @@ def test_indexed_equals_legacy_with_clean_policies(mini):
         policy_noise=0.0,
         loop_prevention_disabled_fraction=0.0,
     )
-    indexed = RoutingSimulator(mini.graph, mini.origin, policy, core="indexed")
-    legacy = RoutingSimulator(mini.graph, mini.origin, policy, core="legacy")
+    indexed = RoutingSimulator(mini.graph, mini.origin, policy)
+    legacy = ReferenceSimulator(mini.graph, mini.origin, policy)
     for config in (
         anycast_all(mini.origin.link_ids),
         AnnouncementConfig(announced=frozenset({"l1"})),
@@ -136,7 +136,8 @@ def test_indexed_equals_legacy_with_clean_policies(mini):
 
 
 def test_engine_outcomes_identical_across_cores_and_workers():
-    """The engine produces the same outcomes with any (core, workers) pair."""
+    """The engine produces the same outcomes with any (simulator, workers)
+    pair, the reference oracle included."""
     topology = _fresh_topology(seed=3)
     origin = attach_origin(topology, num_links=4, seed=3)
     policy = PolicyModel(topology.graph, seed=3)
@@ -144,8 +145,8 @@ def test_engine_outcomes_identical_across_cores_and_workers():
     configs = [_random_config(rng, topology.graph, origin) for _ in range(12)]
 
     reference = None
-    for core in ("indexed", "legacy"):
-        simulator = RoutingSimulator(topology.graph, origin, policy, core=core)
+    for simulator_cls in (RoutingSimulator, ReferenceSimulator):
+        simulator = simulator_cls(topology.graph, origin, policy)
         for workers in (1, 2):
             with SimulationEngine(simulator, workers=workers) as engine:
                 outcomes = engine.simulate_many(configs)
@@ -183,8 +184,9 @@ def test_engine_batched_dispatch_matches_per_task(small_testbed):
     assert stats_a.passes_saved == stats_b.passes_saved
 
 
-def test_overridden_policy_falls_back_to_legacy():
-    """A policy overriding accepts() cannot compile; the flag is honored."""
+def test_overridden_policy_is_rejected():
+    """A policy overriding accepts() cannot compile; construction fails
+    with an error naming the overridden method."""
 
     class PickyPolicy(PolicyModel):
         def accepts(self, holder, transit_path, origin_path, learned_from):
@@ -195,21 +197,14 @@ def test_overridden_policy_falls_back_to_legacy():
     topology = _fresh_topology(seed=17)
     origin = attach_origin(topology, num_links=3, seed=17)
     policy = PickyPolicy(topology.graph, seed=1)
-    assert not policy_is_compilable(policy)
-    simulator = RoutingSimulator(topology.graph, origin, policy, core="indexed")
-    assert simulator.effective_core == "legacy"
-    outcome = simulator.simulate(anycast_all(origin.link_ids))
-    assert outcome.converged
-    # And the fallback still matches an explicit-legacy run exactly.
-    legacy = RoutingSimulator(topology.graph, origin, policy, core="legacy")
-    assert_outcomes_identical(
-        outcome, legacy.simulate(anycast_all(origin.link_ids))
-    )
+    assert uncompilable_overrides(policy) == ("accepts",)
+    with pytest.raises(SimulationError, match="PickyPolicy overrides accepts"):
+        RoutingSimulator(topology.graph, origin, policy)
 
 
 def test_scalar_policy_overrides_are_compiled():
-    """Overriding scalar hooks (salt_for etc.) keeps the indexed core —
-    and the compiled answers still match the legacy sweep exactly."""
+    """Overriding scalar hooks (salt_for etc.) compiles — and the compiled
+    answers still match the reference sweep exactly."""
 
     class DriftedSalt(PolicyModel):
         def salt_for(self, asn):
@@ -218,23 +213,11 @@ def test_scalar_policy_overrides_are_compiled():
     topology = _fresh_topology(seed=23)
     origin = attach_origin(topology, num_links=3, seed=23)
     policy = DriftedSalt(topology.graph, seed=2)
-    assert policy_is_compilable(policy)
-    indexed = RoutingSimulator(topology.graph, origin, policy, core="indexed")
-    legacy = RoutingSimulator(topology.graph, origin, policy, core="legacy")
-    assert indexed.effective_core == "indexed"
+    assert uncompilable_overrides(policy) == ()
+    indexed = RoutingSimulator(topology.graph, origin, policy)
+    legacy = ReferenceSimulator(topology.graph, origin, policy)
     config = anycast_all(origin.link_ids)
     assert_outcomes_identical(indexed.simulate(config), legacy.simulate(config))
-
-
-def test_core_env_var_and_validation(mini, monkeypatch):
-    policy = PolicyModel(mini.graph, seed=0)
-    monkeypatch.setenv("REPRO_SIM_CORE", "legacy")
-    simulator = RoutingSimulator(mini.graph, mini.origin, policy)
-    assert simulator.core == "legacy"
-    monkeypatch.delenv("REPRO_SIM_CORE")
-    assert RoutingSimulator(mini.graph, mini.origin, policy).core == "indexed"
-    with pytest.raises(SimulationError):
-        RoutingSimulator(mini.graph, mini.origin, policy, core="vectorized")
 
 
 def test_simulator_pickles_without_compiled_state(mini):
@@ -245,14 +228,17 @@ def test_simulator_pickles_without_compiled_state(mini):
     baseline = simulator.simulate(anycast_all(mini.origin.link_ids))
     assert simulator._compiled is not None
     clone = pickle.loads(pickle.dumps(simulator))
-    assert clone._compiled is None  # caches dropped, rebuilt on demand
-    assert clone._neighbors is None
+    assert clone._compiled is None  # dropped, rebuilt on demand
     outcome = clone.simulate(anycast_all(mini.origin.link_ids))
     assert outcome.routes == baseline.routes
 
 
-@pytest.mark.parametrize("core", ["indexed", "legacy"])
-def test_warm_start_bit_identical_across_prepend_deltas(core):
+@pytest.mark.parametrize(
+    "simulator_cls",
+    [RoutingSimulator, ReferenceSimulator],
+    ids=["indexed", "legacy"],
+)
+def test_warm_start_bit_identical_across_prepend_deltas(simulator_cls):
     """Regression guard for the stale-tail warm-start bug.
 
     Warm-starting a prepend-only delta from the un-prepended fixpoint
@@ -272,8 +258,8 @@ def test_warm_start_bit_identical_across_prepend_deltas(core):
             num_vantages=5,
             num_probes=10,
         )
-        simulator = RoutingSimulator(
-            testbed.topology.graph, testbed.origin, testbed.policy, core=core
+        simulator = simulator_cls(
+            testbed.topology.graph, testbed.origin, testbed.policy
         )
         links = testbed.origin.link_ids
         base = AnnouncementConfig(announced=frozenset(links))
@@ -301,7 +287,7 @@ def test_compiled_topology_direct_use():
     topology = _fresh_topology(seed=31)
     origin = attach_origin(topology, num_links=3, seed=31)
     policy = PolicyModel(topology.graph, seed=4)
-    simulator = RoutingSimulator(topology.graph, origin, policy, core="legacy")
+    simulator = ReferenceSimulator(topology.graph, origin, policy)
     compiled = CompiledTopology.compile(
         topology.graph, origin, policy, simulator._visit_order
     )

@@ -447,7 +447,6 @@ class TestFleetCommand:
         assert args.max_active == 0
         assert args.quota == []
         assert args.crash == [] and args.drain == [] and args.evict == []
-        assert not args.serial
         assert args.table_every == 8
 
     def test_event_and_quota_parsing(self):
@@ -499,7 +498,7 @@ class TestFleetCommand:
     def test_fleet_crash_resume_command(self, tmp_path, capsys):
         base = [
             "--seed", "2", "fleet", "--tenants", "1", "--attacks", "2",
-            "--max-configs", "3", "--sources", "6", "--quiet", "--serial",
+            "--max-configs", "3", "--sources", "6", "--quiet",
             "--checkpoint-dir", str(tmp_path), "--checkpoint-every", "2",
         ]
         assert main(base + ["--crash", "1:100"]) == 0

@@ -1,6 +1,5 @@
 """Tests for repro.fleet: specs, streams, scheduler, shards, runtime."""
 
-import asyncio
 import io
 import json
 import os
@@ -26,7 +25,6 @@ from repro.fleet import (
     TaggedRegistry,
     derive_seed,
     derive_tenant_seed,
-    iter_stream,
     launch_event,
     merge_streams,
     scripted_stream,
@@ -139,16 +137,25 @@ class TestFleetStream:
         assert minutes == sorted(minutes)
         assert merged == scripted_stream(spec, controls)
 
-    def test_iter_stream_rejects_unsorted(self):
-        spec = small_spec()
-        events = [launch_event(a) for a in spec.attacks()]
+    def test_run_rejects_unsorted_stream(self):
         bad = [
             FleetEvent(minute=10.0, action=DRAIN, tenant="t", prefix="p"),
             FleetEvent(minute=5.0, action=DRAIN, tenant="t", prefix="p"),
         ]
-        assert list(iter_stream(events)) == events
-        with pytest.raises(FleetError):
-            list(iter_stream(bad))
+        runtime = FleetRuntime(small_spec(), events=bad)
+        try:
+            with pytest.raises(FleetError, match="not sorted by minute"):
+                runtime.run()
+        finally:
+            runtime.close()
+        # The same events in order run cleanly: both target no shard, so
+        # both are recorded as missed rather than rejected.
+        runtime = FleetRuntime(small_spec(), events=bad[::-1])
+        try:
+            report = runtime.run()
+        finally:
+            runtime.close()
+        assert report.events_applied == 0 and report.events_missed == 2
 
 
 class TestFleetScheduler:
@@ -375,13 +382,6 @@ class TestFleetRuntime:
         assert [s.as_dict() for s in again.shards] == [
             s.as_dict() for s in report.shards
         ]
-
-    def test_async_driver_matches_serial(self, base_run, tmp_path):
-        spec, report, _ = base_run
-        runtime = FleetRuntime(spec, checkpoint_dir=str(tmp_path))
-        from_async = asyncio.run(runtime.run_async())
-        runtime.close()
-        assert from_async.digest == report.digest
 
     def test_max_active_bounds_admissions(self):
         spec = small_spec(max_active=1)

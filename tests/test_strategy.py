@@ -315,15 +315,6 @@ class TestGreedyEquivalence:
         assert order == legacy_order
         assert curve == legacy_curve  # exact float equality, not approx
 
-    @pytest.mark.parametrize("core", ["legacy", "indexed"])
-    def test_bit_identical_across_simulation_cores(self, core, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_CORE", core)
-        testbed = build_testbed(seed=3)
-        _, universe, history = measured_evidence(testbed)
-        order, curve = GreedyScheduler(universe, history).run()
-        legacy_order, legacy_curve = self.legacy_greedy_run(universe, history)
-        assert (order, curve) == (legacy_order, legacy_curve)
-
     def test_bit_identical_across_worker_counts(self):
         testbed = build_testbed(seed=2)
         schedule = generate_schedule(

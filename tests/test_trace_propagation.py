@@ -6,11 +6,10 @@ Two halves of the tentpole contract:
   :func:`span_tree_signature` — is identical at any worker count; and
 * flight bundles capture only the deterministic projection, so the same
   seeded kill scenario dumps byte-identical black boxes across
-  interpreter hash seeds and across the serial/asyncio fleet drivers,
-  and its reconstructed timeline digest is a replay invariant.
+  interpreter hash seeds and across replays, and its reconstructed
+  timeline digest is a replay invariant.
 """
 
-import asyncio
 import hashlib
 import os
 import subprocess
@@ -68,7 +67,7 @@ def crash_events(spec):
     )
 
 
-def run_crashed_fleet(tmp_path, use_async=False):
+def run_crashed_fleet(tmp_path):
     """Run the kill scenario; returns the fleet report.
 
     ``tmp_path`` gets ``ckpt/`` and ``flight/`` subdirectories.
@@ -80,8 +79,6 @@ def run_crashed_fleet(tmp_path, use_async=False):
         flight_dir=str(tmp_path / "flight"),
     )
     try:
-        if use_async:
-            return asyncio.run(runtime.run_async())
         return runtime.run()
     finally:
         runtime.close()
@@ -214,13 +211,6 @@ class TestFlightDumpDeterminism:
             for run in ("a", "b")
         ]
         assert digests[0] == digests[1]
-
-    def test_asyncio_driver_dumps_identical_bundles(self, tmp_path):
-        run_crashed_fleet(tmp_path / "serial")
-        run_crashed_fleet(tmp_path / "asyncio", use_async=True)
-        serial = bundle_hashes(tmp_path / "serial" / "flight")
-        fanned = bundle_hashes(tmp_path / "asyncio" / "flight")
-        assert serial and serial == fanned
 
 
 class TestHashSeedInvariance:
