@@ -14,7 +14,8 @@ simulator and then propagates each configuration over dense integer
 state:
 
 * ASNs are mapped to dense indices; the adjacency becomes one flattened
-  CSR-style edge array (``off``/``adj``).
+  CSR-style edge array (``off``/``adj``), shared with the graph's other
+  compiled consumers (:func:`~repro.topology.arrays.adjacency_arrays`).
 * Every per-edge decision constant — negated LocalPref, IGP cost, the
   salted CRC32 tiebreak, the valley-free export mask — is precomputed
   into parallel arrays, so the inner loop does list indexing instead of
@@ -54,6 +55,7 @@ import heapq
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 from ..errors import ConvergenceError
+from ..topology.arrays import adjacency_arrays
 from ..topology.graph import ASGraph
 from ..topology.peering import OriginNetwork
 from ..topology.relationships import Relationship
@@ -143,8 +145,12 @@ class CompiledTopology:
         """
         self = cls()
         origin_asn = origin.asn
-        asns = sorted(graph.ases)
-        index = {asn: i for i, asn in enumerate(asns)}
+        arrays = adjacency_arrays(graph)
+        asns = arrays.asns
+        index = arrays.index
+        off = arrays.off
+        adj = arrays.adj
+        e_rel = arrays.rel
         n = len(asns)
 
         order = [index[asn] for asn in visit_order]
@@ -156,13 +162,10 @@ class CompiledTopology:
         t1_filtering = policy.tier1_leak_filtering
         loop_prev = bytearray(n)
         t1f = bytearray(n)
-        off = [0] * (n + 1)
-        adj: List[int] = []
         e_neg_lp: List[int] = []
         e_igp: List[int] = []
         e_tb: List[int] = []
         e_asn: List[ASN] = []
-        e_rel: List[Relationship] = []
         e_exp: List[int] = []
         direct_consts: Dict[int, Tuple[int, int, int, Relationship]] = {}
 
@@ -170,7 +173,9 @@ class CompiledTopology:
             loop_prev[i] = 1 if policy.loop_prevention_enabled(asn) else 0
             t1f[i] = 1 if (t1_filtering and asn in tier1) else 0
             salt = policy.salt_for(asn)
-            for neighbor, rel in sorted(graph.neighbors(asn).items()):
+            for e in range(off[i], off[i + 1]):
+                neighbor = asns[adj[e]]
+                rel = e_rel[e]
                 lp = policy.local_pref(asn, rel)
                 igp = policy.igp_cost(asn, neighbor)
                 tb = stable_tiebreak(asn, neighbor, salt)
@@ -183,16 +188,13 @@ class CompiledTopology:
                 for learned in _RELATIONSHIPS:
                     if policy.exports(learned, inverse):
                         mask |= 1 << learned
-                adj.append(index[neighbor])
                 e_neg_lp.append(-lp)
                 e_igp.append(igp)
                 e_tb.append(tb)
                 e_asn.append(neighbor)
-                e_rel.append(rel)
                 e_exp.append(mask)
                 if neighbor == origin_asn:
                     direct_consts[i] = (-lp, igp, tb, rel)
-            off[i + 1] = len(adj)
 
         link_ids = list(origin.link_ids)
         self.asns = asns

@@ -137,6 +137,11 @@ class RoutingSimulator:
         SimulationError: if an origin link is missing from ``graph``,
             ``max_passes`` is not positive, or ``policy`` overrides
             ``accepts``/``exports`` (the compiled core cannot honor them).
+
+    The simulator is bound to ``graph`` as it is at construction: once
+    the graph is mutated (:attr:`ASGraph.version` moves), :meth:`simulate`
+    raises :class:`~repro.errors.SimulationError` instead of routing over
+    the topology it compiled.
     """
 
     def __init__(
@@ -180,6 +185,7 @@ class RoutingSimulator:
         # __getstate__).
         self._compiled: Optional[CompiledTopology] = None
         self._known_ases: FrozenSet[ASN] = graph.ases
+        self._graph_version = graph.version
 
     # ------------------------------------------------------------------
 
@@ -216,7 +222,18 @@ class RoutingSimulator:
                 admit multiple stable states, and stale seeds can steer
                 the iteration into a different one than a cold start
                 reaches.
+
+        Raises:
+            SimulationError: if the graph was mutated after this
+                simulator was built, or ``config`` announces from an
+                unknown link.
         """
+        if self.graph.version != self._graph_version:
+            raise SimulationError(
+                "topology changed after this simulator was built "
+                f"(graph version {self._graph_version} -> {self.graph.version}); "
+                "build a new RoutingSimulator for the new topology"
+            )
         self._validate_config(config)
         if self._compiled is None:
             self._compiled = CompiledTopology.compile(

@@ -16,15 +16,22 @@ Two pieces:
 
 from __future__ import annotations
 
+import itertools
+import weakref
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from operator import attrgetter
+from typing import Optional
+
+import numpy as np
 
 from ..bgp.policy import PolicyModel
 from ..bgp.simulator import RoutingOutcome, RoutingSimulator
+from ..errors import TopologyError
+from ..topology.arrays import AdjacencyArrays, adjacency_arrays, asn_positions
 from ..topology.graph import ASGraph
 from ..topology.peering import OriginNetwork
 from ..topology.relationships import Relationship
-from ..types import ASN, Catchment, LinkId, path_without_prepending
+from ..types import path_without_prepending
 
 
 @dataclass(frozen=True)
@@ -52,6 +59,56 @@ _CLASS_RANK = {
     Relationship.PROVIDER: 2,
 }
 
+#: Candidate sort key ``rank * _RANK_SHIFT + length``: the smallest key
+#: is the best class's shortest candidate.
+_RANK_SHIFT = 1 << 32
+#: Key of a non-candidate edge (above every real candidate's key).
+_NO_CANDIDATE = len(_CLASS_RANK) * _RANK_SHIFT
+
+#: Per-relationship lookups, indexed by the relationship's value.
+_RELATIONSHIPS = sorted(Relationship)
+_RANK_OF = np.array([_CLASS_RANK[r] for r in _RELATIONSHIPS], dtype=np.int64)
+_INVERSE_OF = np.array([r.inverse for r in _RELATIONSHIPS], dtype=np.int64)
+
+
+class _ComplianceTable:
+    """What the audit needs per edge of one graph version.
+
+    Built over the graph's shared CSR layout
+    (:class:`~repro.topology.arrays.AdjacencyArrays`): edge ``e`` runs
+    from ``owner[e]`` to ``adj[e]`` and carries the neighbor's class rank
+    seen from the owner and the owner's relationship seen from the
+    neighbor (the export filter's second argument).  ``starts`` are the
+    first edges of the ``rows`` that have any edge, so ``np.*.reduceat``
+    over them reduces exactly each row's edges.
+    """
+
+    def __init__(self, arrays: AdjacencyArrays) -> None:
+        self.arrays = arrays
+        self.asns = np.array(arrays.asns, dtype=np.int64)
+        degree = np.diff(np.array(arrays.off, dtype=np.int64))
+        self.owner = np.repeat(np.arange(len(degree)), degree)
+        self.adj = np.array(arrays.adj, dtype=np.int64)
+        rel = np.array(arrays.rel, dtype=np.int64)
+        self.rank_key = _RANK_OF[rel] * _RANK_SHIFT
+        self.inverse = _INVERSE_OF[rel]
+        self.rows = np.flatnonzero(degree)
+        self.starts = np.array(arrays.off[:-1], dtype=np.int64)[self.rows]
+
+
+#: Audit tables per graph, rebuilt with the graph's adjacency arrays.
+_TABLES: "weakref.WeakKeyDictionary[ASGraph, _ComplianceTable]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def _compliance_table(graph: ASGraph) -> _ComplianceTable:
+    arrays = adjacency_arrays(graph)
+    table = _TABLES.get(graph)
+    if table is None or table.arrays is not arrays:
+        table = _TABLES[graph] = _ComplianceTable(arrays)
+    return table
+
 
 def policy_compliance(
     outcome: RoutingOutcome,
@@ -67,66 +124,113 @@ def policy_compliance(
     dataset.  Path lengths are compared with prepending collapsed — the
     inflation the origin injected is not the AS's own choice.
 
+    The audit runs on integer arrays: one pass over ``outcome.routes``
+    fills per-AS next hop, learned relationship and collapsed path
+    length, and per-edge masks over the graph's cached CSR table
+    (:class:`_ComplianceTable`) are reduced per AS with ``reduceat``.
+
     Args:
         outcome: the routing outcome to audit.
         graph: the topology.
         policy: export rules used to reconstruct candidate sets.
         origin: when given, the origin's direct announcements are included
             as candidates at its providers.
+
+    Raises:
+        TopologyError: if a routed AS is not in ``graph``.
     """
-    checked = 0
-    relationship_ok = 0
-    both_ok = 0
-    origin_asn = outcome.origin_asn
-    link_of_provider: Dict[ASN, LinkId] = {}
+    table = _compliance_table(graph)
+    routes = outcome.routes
+    count = len(routes)
+    n = len(table.asns)
+    index = table.arrays.index
+    holders = asn_positions(table.asns, np.fromiter(routes, np.int64, count))
+    if count and holders.min() < 0:
+        missing = next(asn for asn in routes if asn not in index)
+        raise TopologyError(f"AS {missing} not in topology")
+    values = list(routes.values())
+    paths = list(map(attrgetter("as_path"), values))
+    lengths = np.fromiter(map(len, paths), np.int64, count)
+    flat = np.fromiter(
+        itertools.chain.from_iterable(paths), np.int64, int(lengths.sum())
+    )
+    # Prepending collapsed: drop every hop equal to the one before it
+    # within the same path.
+    repeat = np.zeros(len(flat), dtype=bool)
+    repeat[1:] = flat[1:] == flat[:-1]
+    repeat[(np.cumsum(lengths) - lengths)[lengths > 0]] = False
+    owner_of_hop = np.repeat(np.arange(count), lengths)
+
+    routed = np.zeros(n, dtype=bool)
+    routed[holders] = True
+    next_hop = np.full(n, -1, dtype=np.int64)
+    next_hop[holders] = asn_positions(
+        table.asns,
+        np.fromiter(map(attrgetter("learned_from"), values), np.int64, count),
+    )
+    learned = np.zeros(n, dtype=np.int64)
+    learned[holders] = np.fromiter(
+        map(attrgetter("relationship"), values), np.int64, count
+    )
+    length = np.zeros(n, dtype=np.int64)
+    length[holders] = lengths - np.bincount(
+        owner_of_hop[repeat], minlength=count
+    )
+    # The origin's own announcements, as candidates at its providers.
+    direct = np.full(n, -1, dtype=np.int64)
     if origin is not None:
-        link_of_provider = {
-            origin.provider_of(link): link
-            for link in outcome.config.announced
-        }
-    for asn, route in outcome.routes.items():
-        candidates: Dict[ASN, Tuple[int, int]] = {}
-        for neighbor, neighbor_relationship in graph.neighbors(asn).items():
-            if neighbor == origin_asn:
-                link = link_of_provider.get(asn)
-                if link is not None:
-                    announced = outcome.config.as_path_for_link(origin_asn, link)
-                    candidates[neighbor] = (
-                        _CLASS_RANK[neighbor_relationship],
-                        len(path_without_prepending(announced)),
-                    )
-                continue
-            neighbor_route = outcome.routes.get(neighbor)
-            if neighbor_route is None or neighbor_route.learned_from == asn:
-                continue
-            if not policy.exports(
-                neighbor_route.relationship, graph.relationship(neighbor, asn)
-            ):
-                continue
-            collapsed = path_without_prepending(neighbor_route.as_path)
-            candidates[neighbor] = (
-                _CLASS_RANK[neighbor_relationship],
-                len(collapsed) + 1,
-            )
-        if len(candidates) < 2:
-            continue  # no real choice to audit
-        checked += 1
-        chosen = candidates.get(route.learned_from)
-        if chosen is None:
-            continue
-        best_class = min(rank for rank, _ in candidates.values())
-        if chosen[0] != best_class:
-            continue
-        relationship_ok += 1
-        shortest_in_class = min(
-            length for rank, length in candidates.values() if rank == best_class
-        )
-        if chosen[1] <= shortest_in_class:
-            both_ok += 1
+        for link in outcome.config.announced:
+            provider = index.get(origin.provider_of(link))
+            if provider is not None:
+                announced = outcome.config.as_path_for_link(
+                    outcome.origin_asn, link
+                )
+                direct[provider] = len(path_without_prepending(announced))
+    exports = np.array(
+        [
+            [policy.exports(learned_from, export_to) for export_to in _RELATIONSHIPS]
+            for learned_from in _RELATIONSHIPS
+        ]
+    )
+
+    owner, adj = table.owner, table.adj
+    origin_index = index.get(outcome.origin_asn, -1)
+    to_origin = adj == origin_index
+    via_neighbor = (
+        ~to_origin
+        & routed[adj]
+        & (next_hop[adj] != owner)
+        & exports[learned[adj], table.inverse]
+    )
+    via_origin = to_origin & (direct[owner] >= 0)
+    candidate = via_neighbor | via_origin
+    key = np.where(
+        candidate,
+        table.rank_key + np.where(via_origin, direct[owner], length[adj] + 1),
+        _NO_CANDIDATE,
+    )
+    picked = candidate & (adj == next_hop[owner])
+
+    starts = table.starts
+    best = np.minimum.reduceat(key, starts)
+    chosen = np.add.reduceat(np.where(picked, key, 0), starts)
+    audited = routed[table.rows] & (
+        np.add.reduceat(candidate, starts, dtype=np.int64) >= 2
+    )
+    relationship_ok = (
+        audited
+        & np.logical_or.reduceat(picked, starts)
+        & (chosen // _RANK_SHIFT == best // _RANK_SHIFT)
+    )
+    # Same class, so comparing keys compares the path lengths.
+    both_ok = relationship_ok & (chosen <= best)
+    checked = int(np.count_nonzero(audited))
+    relationship_count = int(np.count_nonzero(relationship_ok))
+    both_count = int(np.count_nonzero(both_ok))
     return ComplianceStats(
         ases_checked=checked,
-        best_relationship=relationship_ok / checked if checked else 1.0,
-        best_relationship_and_shortest=both_ok / checked if checked else 1.0,
+        best_relationship=relationship_count / checked if checked else 1.0,
+        best_relationship_and_shortest=both_count / checked if checked else 1.0,
     )
 
 

@@ -21,7 +21,7 @@ This module makes the trade-off measurable:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, List, Sequence
+from typing import Dict, FrozenSet, List, Sequence
 
 from ..bgp.announcement import AnnouncementConfig
 from ..bgp.policy import PolicyModel
@@ -141,6 +141,15 @@ class StalenessPoint:
     cluster_agreement: float
 
 
+def _cluster_index(state: ClusterState) -> Dict[ASN, int]:
+    """Position of each source's cluster in ``state.clusters()``."""
+    return {
+        asn: index
+        for index, cluster in enumerate(state.clusters())
+        for asn in cluster
+    }
+
+
 class StalenessExperiment:
     """Quantifies localization degradation as catchments go stale."""
 
@@ -172,15 +181,15 @@ class StalenessExperiment:
         stale_first, live_first = self._stale_outcomes[0], live_outcomes[0]
         misplaced = misplaced_fraction(stale_first, live_first, self.universe)
 
-        stale_state = self._partition(self._stale_outcomes)
-        live_state = self._partition(live_outcomes)
+        stale_of = _cluster_index(self._partition(self._stale_outcomes))
+        live_of = _cluster_index(self._partition(live_outcomes))
         sample = sorted(self.universe)[: self.pair_sample]
         checked = agreements = 0
         for i, a in enumerate(sample):
             for b in sample[i + 1 :]:
                 checked += 1
-                stale_same = b in stale_state.cluster_of(a)
-                live_same = b in live_state.cluster_of(a)
+                stale_same = stale_of[a] == stale_of[b]
+                live_same = live_of[a] == live_of[b]
                 if stale_same == live_same:
                     agreements += 1
         return StalenessPoint(

@@ -21,10 +21,14 @@ class ASGraph:
     Each link is stored from both endpoints with inverse relationship
     annotations, so ``graph.relationship(a, b)`` answers "what is ``b`` to
     ``a``?" in O(1).
+
+    :attr:`version` counts mutations (a new AS, a new or removed link),
+    so tables compiled from the graph can tell that they went stale.
     """
 
     def __init__(self) -> None:
         self._adjacency: Dict[ASN, Dict[ASN, Relationship]] = {}
+        self._version = 0
 
     # ------------------------------------------------------------------
     # Construction
@@ -33,7 +37,9 @@ class ASGraph:
     def add_as(self, asn: ASN) -> None:
         """Add an AS with no links.  Adding an existing AS is a no-op."""
         validate_asn(asn)
-        self._adjacency.setdefault(asn, {})
+        if asn not in self._adjacency:
+            self._adjacency[asn] = {}
+            self._version += 1
 
     def add_link(self, a: ASN, b: ASN, relationship_of_b: Relationship) -> None:
         """Add a link between ``a`` and ``b``.
@@ -61,8 +67,10 @@ class ASGraph:
                 f"link {a}-{b} already annotated {existing.name}, "
                 f"refusing to overwrite with {relationship_of_b.name}"
             )
-        self._adjacency[a][b] = relationship_of_b
-        self._adjacency[b][a] = relationship_of_b.inverse
+        if existing is None:
+            self._adjacency[a][b] = relationship_of_b
+            self._adjacency[b][a] = relationship_of_b.inverse
+            self._version += 1
 
     def remove_link(self, a: ASN, b: ASN) -> None:
         """Remove the link between ``a`` and ``b``.
@@ -74,10 +82,16 @@ class ASGraph:
             raise TopologyError(f"no link {a}-{b} to remove")
         del self._adjacency[a][b]
         del self._adjacency[b][a]
+        self._version += 1
 
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
+
+    @property
+    def version(self) -> int:
+        """Number of mutations so far (moves on every structural change)."""
+        return self._version
 
     def __contains__(self, asn: ASN) -> bool:
         return asn in self._adjacency

@@ -272,3 +272,28 @@ class TestSimulatorValidation:
         outcome = simulate(BOTH)
         assert outcome.passes >= 2
         assert outcome.decision_changes >= len(outcome.covered_ases)
+
+    @pytest.mark.parametrize("mutation", ["add_link", "remove_link", "add_as"])
+    def test_simulate_rejects_a_mutated_graph(self, mutation):
+        mini = build_mini_internet()
+        simulator = RoutingSimulator(mini.graph, mini.origin)
+        before = simulator.simulate(BOTH)
+        if mutation == "add_link":
+            mini.graph.add_link(A, C, Relationship.PEER)
+        elif mutation == "remove_link":
+            mini.graph.remove_link(A, P1)
+        else:
+            mini.graph.add_as(999)
+        with pytest.raises(SimulationError, match="topology changed"):
+            simulator.simulate(BOTH)
+        # A simulator built on the mutated graph routes over it.
+        after = RoutingSimulator(mini.graph, mini.origin).simulate(BOTH)
+        if mutation == "remove_link":
+            assert A not in after.routes and A in before.routes
+
+    def test_mutation_before_first_simulate_is_rejected(self):
+        mini = build_mini_internet()
+        simulator = RoutingSimulator(mini.graph, mini.origin)
+        mini.graph.add_link(A, B, Relationship.PEER)
+        with pytest.raises(SimulationError, match="topology changed"):
+            simulator.simulate(BOTH)

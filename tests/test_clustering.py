@@ -92,10 +92,6 @@ class TestMetrics:
     def test_mean_size(self):
         assert self.make_partitioned().mean_size() == pytest.approx(10 / 3)
 
-    def test_weighted_mean_size(self):
-        # (1·1 + 3·3 + 6·6) / 10 = 46/10
-        assert self.make_partitioned().mean_size_weighted() == pytest.approx(4.6)
-
     def test_singleton_fraction(self):
         assert self.make_partitioned().singleton_fraction() == pytest.approx(1 / 3)
 

@@ -177,3 +177,33 @@ class TestCopy:
         clone = graph.copy()
         for a, b, rel in graph.links():
             assert clone.relationship(a, b) is rel
+
+
+class TestVersion:
+    def test_mutations_move_the_version(self):
+        graph = ASGraph()
+        assert graph.version == 0
+        graph.add_as(1)
+        after_as = graph.version
+        graph.add_link(1, 2, Relationship.PROVIDER)
+        after_link = graph.version
+        graph.remove_link(1, 2)
+        assert 0 < after_as < after_link < graph.version
+
+    def test_no_ops_keep_the_version(self):
+        graph = chain_graph()
+        version = graph.version
+        graph.add_as(1)
+        graph.add_link(1, 2, graph.relationship(1, 2))
+        graph.copy().remove_link(3, 4)
+        assert graph.version == version
+
+    def test_failed_mutations_keep_the_version(self):
+        graph = chain_graph()
+        version = graph.version
+        with pytest.raises(TopologyError):
+            graph.remove_link(1, 3)
+        other = next(r for r in Relationship if r is not graph.relationship(1, 2))
+        with pytest.raises(TopologyError):
+            graph.add_link(1, 2, other)
+        assert graph.version == version
