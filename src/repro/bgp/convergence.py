@@ -102,12 +102,12 @@ class ConvergenceResult:
 
     def agrees_with(self, outcome: RoutingOutcome) -> bool:
         """True if the converged catchment assignment matches a fixpoint outcome."""
-        if set(self.routes) != set(outcome.routes):
+        if set(self.routes) != outcome.covered_ases:
             return False
         return all(
-            self.routes[asn].link_id == outcome.routes[asn].link_id
-            and self.routes[asn].learned_from == outcome.routes[asn].learned_from
-            for asn in self.routes
+            route.link_id == outcome.catchment_of(asn)
+            and route.learned_from == outcome.next_hop(asn)
+            for asn, route in self.routes.items()
         )
 
 

@@ -20,10 +20,14 @@ state:
   salted CRC32 tiebreak, the valley-free export mask — is precomputed
   into parallel arrays, so the inner loop does list indexing instead of
   policy method calls.
-* Route state lives in parallel arrays (link index, AS-path length,
+* Route state lives in parallel arrays (link index, next hop,
   relationship class, LocalPref, path tuple) instead of
-  :class:`~repro.bgp.route.Route` objects; ``Route`` objects are
-  materialized once, for the final outcome.
+  :class:`~repro.bgp.route.Route` objects.  The final arrays *are* the
+  outcome (:class:`RouteColumns`): consumers read them per AS, a warm
+  start seeds from them directly, and ``Route`` objects are built only
+  when someone asks for :attr:`RoutingOutcome.routes
+  <repro.bgp.simulator.RoutingOutcome.routes>` or one AS's
+  :meth:`~repro.bgp.simulator.RoutingOutcome.route`.
 * Only *dirty* ASes are re-evaluated: an AS is scheduled exactly when a
   neighbor's route changed since its last evaluation.  Scheduling is
   position-ordered (a heap over visit positions), which makes the
@@ -52,7 +56,16 @@ policies.
 from __future__ import annotations
 
 import heapq
-from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Dict,
+    FrozenSet,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from ..errors import ConvergenceError
 from ..topology.arrays import adjacency_arrays
@@ -229,17 +242,21 @@ class CompiledTopology:
     def propagate(
         self,
         config: AnnouncementConfig,
-        warm_start: Optional[Mapping[ASN, Route]],
+        warm_start: Union["RouteColumns", Mapping[ASN, Route], None],
         max_passes: int,
         strict: bool,
         known_ases: FrozenSet[ASN],
     ):
         """Propagate ``config`` to a fixpoint; mirror of the reference loop.
 
-        Returns a :class:`~repro.bgp.simulator.RoutingOutcome` that is
-        bit-identical (routes, catchments, passes, decision changes,
-        convergence flag) to what the reference simulator produces for
-        the same ``(config, warm_start)``.
+        ``warm_start`` is a prior fixpoint's routes: its
+        :class:`RouteColumns` (read directly when compiled here) or a
+        mapping of :class:`Route` objects.  Both seed the same state.
+
+        Returns a :class:`~repro.bgp.simulator.RoutingOutcome` over
+        :class:`RouteColumns` that is bit-identical (routes, catchments,
+        passes, decision changes, convergence flag) to what the reference
+        simulator produces for the same ``(config, warm_start)``.
         """
         from .simulator import RoutingOutcome  # local: avoid import cycle
 
@@ -247,8 +264,7 @@ class CompiledTopology:
         n = self.n
         origin_asn = self.origin_asn
         link_index = self.link_index
-        link_ids = self.link_ids
-        num_links = len(link_ids)
+        num_links = len(self.link_ids)
 
         # -- per-configuration tables ----------------------------------
         opath: List[Optional[ASPath]] = [None] * num_links
@@ -285,7 +301,34 @@ class CompiledTopology:
         # an unchanged re-selection skip rebuilding/comparing the tuple.
         r_tail: List[Optional[ASPath]] = [None] * n
 
-        if warm_start:
+        if isinstance(warm_start, RouteColumns) and (
+            warm_start.topology is not self
+        ):
+            warm_start = warm_start.routes()  # another index: seed by ASN
+        if isinstance(warm_start, RouteColumns):
+            # Same dense index and link numbering: seed column to column,
+            # under the seed-filter contract spelled out below.
+            s_link = warm_start.link
+            s_path = warm_start.path
+            s_from = warm_start.learned_from
+            s_rel = warm_start.relationship
+            s_lp = warm_start.local_pref
+            for i in warm_start.rows():
+                k = s_link[i]
+                fresh = opath[k]
+                if fresh is None:
+                    continue  # link not announced by this configuration
+                path = s_path[i]
+                cut = len(path) - olen[k]
+                if cut < 0 or path[cut:] != fresh:
+                    continue
+                r_link[i] = k
+                r_from[i] = s_from[i]
+                r_rel[i] = s_rel[i]
+                r_lp[i] = s_lp[i]
+                r_plen[i] = len(path)
+                r_path[i] = path
+        elif warm_start:
             announced_set = config.announced
             index = self.index
             for asn, route in warm_start.items():
@@ -483,7 +526,6 @@ class CompiledTopology:
                 f"no fixpoint after {max_passes} passes for {config.describe()}"
             )
 
-        routes: Dict[ASN, Route] = {}
         # Sorted so the catchment dict's order (and every downstream
         # float sum over it) is independent of the string hash seed.
         catchments: Dict[LinkId, set] = {
@@ -492,22 +534,19 @@ class CompiledTopology:
         sets_by_idx: List[Optional[set]] = [None] * num_links
         for link in config.announced:
             sets_by_idx[link_index[link]] = catchments[link]
+        count = 0
         for i in order:
             k = r_link[i]
             if k < 0:
                 continue
-            asn = asns[i]
-            routes[asn] = Route(
-                as_path=r_path[i],
-                link_id=link_ids[k],
-                learned_from=r_from[i],
-                relationship=r_rel[i],
-                local_pref=r_lp[i],
-            )
-            sets_by_idx[k].add(asn)
+            sets_by_idx[k].add(asns[i])
+            count += 1
         return RoutingOutcome(
             config=config,
-            routes=routes,
+            routes=None,
+            columns=RouteColumns(
+                self, r_link, r_from, r_rel, r_lp, r_path, count
+            ),
             catchments={
                 link: frozenset(members)
                 for link, members in catchments.items()
@@ -519,3 +558,121 @@ class CompiledTopology:
             known_ases=known_ases,
             warm_started=bool(warm_start),
         )
+
+
+class RouteColumns:
+    """One fixpoint's best routes, as per-AS columns over a compiled index.
+
+    Entry ``i`` of every column belongs to AS ``topology.asns[i]``.  An AS
+    holds a route iff ``link[i] >= 0``; the other columns of an AS without
+    one keep leftovers of routes it lost and are never read.  The columns
+    are the propagation state :meth:`CompiledTopology.propagate` ended
+    with, and nothing modifies them afterwards.
+
+    Attributes:
+        topology: the compiled topology whose dense index the columns use.
+        index: ``topology.index`` (ASN -> entry).
+        link: index into ``topology.link_ids`` of the origin link the
+            route descends from, or -1.
+        learned_from: the route's next hop (an ASN).
+        relationship: relationship class the route was learned under.
+        local_pref: LocalPref assigned at import.
+        path: AS-path as received.
+        count: number of ASes holding a route.
+    """
+
+    __slots__ = (
+        "topology",
+        "index",
+        "link",
+        "learned_from",
+        "relationship",
+        "local_pref",
+        "path",
+        "count",
+        "_covered",
+    )
+
+    def __init__(
+        self,
+        topology: CompiledTopology,
+        link: List[int],
+        learned_from: List[ASN],
+        relationship: List[Optional[Relationship]],
+        local_pref: List[int],
+        path: List[Optional[ASPath]],
+        count: int,
+    ) -> None:
+        self.topology = topology
+        self.index = topology.index
+        self.link = link
+        self.learned_from = learned_from
+        self.relationship = relationship
+        self.local_pref = local_pref
+        self.path = path
+        self.count = count
+        self._covered: Optional[FrozenSet[ASN]] = None
+
+    def __len__(self) -> int:
+        return self.count
+
+    # The per-AS accessors inline :meth:`row`: the traceroute and
+    # forwarding-path walks call them once per hop.
+
+    def row(self, asn: ASN) -> int:
+        """Index of ``asn`` when it holds a route, else -1."""
+        i = self.index.get(asn, -1)
+        return i if i >= 0 and self.link[i] >= 0 else -1
+
+    def rows(self) -> List[int]:
+        """Indices of the ASes holding a route, in visit order."""
+        link = self.link
+        return [i for i in self.topology.order if link[i] >= 0]
+
+    def link_of(self, asn: ASN) -> Optional[LinkId]:
+        i = self.index.get(asn, -1)
+        k = self.link[i] if i >= 0 else -1
+        return self.topology.link_ids[k] if k >= 0 else None
+
+    def next_hop(self, asn: ASN) -> Optional[ASN]:
+        i = self.index.get(asn, -1)
+        return self.learned_from[i] if i >= 0 and self.link[i] >= 0 else None
+
+    def as_path(self, asn: ASN) -> Optional[ASPath]:
+        i = self.index.get(asn, -1)
+        return self.path[i] if i >= 0 and self.link[i] >= 0 else None
+
+    def route(self, i: int) -> Route:
+        """The :class:`Route` object of row ``i`` (which holds a route)."""
+        return Route(
+            as_path=self.path[i],
+            link_id=self.topology.link_ids[self.link[i]],
+            learned_from=self.learned_from[i],
+            relationship=self.relationship[i],
+            local_pref=self.local_pref[i],
+        )
+
+    def routes(self) -> Dict[ASN, Route]:
+        """One :class:`Route` per routed AS, keyed in visit order."""
+        asns = self.topology.asns
+        route = self.route
+        return {asns[i]: route(i) for i in self.rows()}
+
+    def covered_ases(self) -> FrozenSet[ASN]:
+        """The routed ASes, laid out exactly as ``frozenset(routes())``."""
+        if self._covered is None:
+            asns = self.topology.asns
+            # Built from a dict so the set table is presized the same way
+            # (and so iterates in the same order) as one built from the
+            # routes mapping.
+            self._covered = frozenset(
+                dict.fromkeys([asns[i] for i in self.rows()])
+            )
+        return self._covered
+
+    def link_assignment(self) -> Dict[ASN, LinkId]:
+        """Origin link of every routed AS, keyed in visit order."""
+        asns = self.topology.asns
+        link_ids = self.topology.link_ids
+        link = self.link
+        return {asns[i]: link_ids[link[i]] for i in self.rows()}

@@ -25,15 +25,15 @@ that peering link — falls directly out of the fixpoint.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Mapping, Optional
+from dataclasses import dataclass, field
+from typing import Dict, FrozenSet, List, Mapping, Optional, Union
 
 from ..errors import SimulationError
 from ..topology.graph import ASGraph
 from ..topology.peering import OriginNetwork
 from ..types import ASN, ASPath, LinkId
 from .announcement import AnnouncementConfig
-from .indexed import CompiledTopology, uncompilable_overrides
+from .indexed import CompiledTopology, RouteColumns, uncompilable_overrides
 from .policy import PolicyModel
 from .route import Route
 
@@ -45,6 +45,15 @@ DEFAULT_MAX_PASSES = 60
 class RoutingOutcome:
     """Result of simulating one announcement configuration.
 
+    A simulated outcome holds its routes as :class:`RouteColumns`, the
+    propagation core's per-AS arrays, and every accessor below reads
+    them directly.  :attr:`routes` builds one :class:`Route` per routed
+    AS on first access; from then on that dict is the outcome's state,
+    so edits to it are seen by every accessor.  An outcome built with a
+    ``routes`` dict (by hand, or unpickled) is dict-backed from the
+    start.  Either way the pickled form is the field dict below with
+    ``routes`` materialized.
+
     Attributes:
         config: the configuration that was simulated.
         routes: best route per AS (ASes with no route are absent).
@@ -52,10 +61,13 @@ class RoutingOutcome:
         passes: Gauss-Seidel passes executed.
         decision_changes: total number of best-route changes observed.
         converged: whether a full pass with no changes was reached.
+        columns: the per-AS route arrays, or None once the outcome is
+            dict-backed.
     """
 
     config: AnnouncementConfig
-    routes: Dict[ASN, Route]
+    #: ``None`` together with ``columns``: built from them on access.
+    routes: Optional[Dict[ASN, Route]]
     catchments: Dict[LinkId, FrozenSet[ASN]]
     passes: int
     decision_changes: int
@@ -66,20 +78,91 @@ class RoutingOutcome:
     known_ases: FrozenSet[ASN] = frozenset()
     #: Whether the fixpoint was seeded from a prior outcome's routes.
     warm_started: bool = False
+    columns: Optional[RouteColumns] = field(
+        default=None, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        if self.routes is not None:
+            self.columns = None
+        elif self.columns is None:
+            raise SimulationError("a RoutingOutcome needs routes or columns")
+        else:
+            del self.routes  # built by __getattr__ on first access
+
+    def __getattr__(self, name: str):
+        # Python calls this only for attributes not found the normal way:
+        # here, ``routes`` before its first access.
+        columns = self.__dict__.get("columns")
+        if name != "routes" or columns is None:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}"
+            )
+        routes = self.routes = columns.routes()
+        self.columns = None
+        return routes
+
+    def __getstate__(self) -> Dict[str, object]:
+        """The field dict (``routes`` materialized), without the columns."""
+        columns = self.columns
+        return {
+            "config": self.config,
+            "routes": self.routes if columns is None else columns.routes(),
+            "catchments": self.catchments,
+            "passes": self.passes,
+            "decision_changes": self.decision_changes,
+            "converged": self.converged,
+            "origin_asn": self.origin_asn,
+            "known_ases": self.known_ases,
+            "warm_started": self.warm_started,
+        }
 
     def route(self, asn: ASN) -> Optional[Route]:
         """Best route of ``asn``, or None if it has no route."""
-        return self.routes.get(asn)
+        columns = self.columns
+        if columns is None:
+            return self.routes.get(asn)
+        i = columns.row(asn)
+        return columns.route(i) if i >= 0 else None
 
     def catchment_of(self, asn: ASN) -> Optional[LinkId]:
         """Peering link whose catchment contains ``asn`` (None if unrouted)."""
+        columns = self.columns
+        if columns is not None:
+            return columns.link_of(asn)
         route = self.routes.get(asn)
         return route.link_id if route is not None else None
 
+    def next_hop(self, asn: ASN) -> Optional[ASN]:
+        """Neighbor ``asn`` learned its best route from (None if unrouted)."""
+        columns = self.columns
+        if columns is not None:
+            return columns.next_hop(asn)
+        route = self.routes.get(asn)
+        return route.learned_from if route is not None else None
+
+    def as_path(self, asn: ASN) -> Optional[ASPath]:
+        """AS-path of ``asn``'s best route as received (None if unrouted)."""
+        columns = self.columns
+        if columns is not None:
+            return columns.as_path(asn)
+        route = self.routes.get(asn)
+        return route.as_path if route is not None else None
+
     @property
     def covered_ases(self) -> FrozenSet[ASN]:
-        """ASes holding a route toward the prefix."""
+        """ASes holding a route toward the prefix (built once per columns)."""
+        columns = self.columns
+        if columns is not None:
+            return columns.covered_ases()
         return frozenset(self.routes)
+
+    def link_assignment(self) -> Dict[ASN, LinkId]:
+        """Origin link of every routed AS, in ``routes`` order."""
+        columns = self.columns
+        if columns is not None:
+            return columns.link_assignment()
+        return {asn: route.link_id for asn, route in self.routes.items()}
 
     def forwarding_path(self, asn: ASN) -> ASPath:
         """Data-plane AS path from ``asn`` to the origin.
@@ -100,18 +183,22 @@ class RoutingOutcome:
             )
         if asn == self.origin_asn:
             return (asn,)
+        columns = self.columns
+        if columns is not None:
+            next_hop_of, routed = columns.next_hop, columns.count
+        else:
+            next_hop_of, routed = self.next_hop, len(self.routes)
         hops: List[ASN] = [asn]
         current = asn
-        for _ in range(len(self.routes) + 2):
-            route = self.routes.get(current)
-            if route is None:
+        for _ in range(routed + 2):
+            next_hop = next_hop_of(current)
+            if next_hop is None:
                 raise SimulationError(
                     f"AS {current} holds no route toward the prefix"
                     if current == asn
                     else f"AS {current} (next hop of AS {asn}) holds no route "
                     "toward the prefix"
                 )
-            next_hop = route.learned_from
             hops.append(next_hop)
             if next_hop == self.origin_asn:
                 return tuple(hops)
@@ -198,15 +285,18 @@ class RoutingSimulator:
     def simulate(
         self,
         config: AnnouncementConfig,
-        warm_start: Optional[Mapping[ASN, Route]] = None,
+        warm_start: Union[RoutingOutcome, Mapping[ASN, Route], None] = None,
     ) -> RoutingOutcome:
         """Propagate ``config`` to a fixpoint and return the outcome.
 
         Args:
             config: the announcement configuration to propagate.
-            warm_start: best routes of a previously simulated, similar
-                configuration (e.g. the same announcement set without
-                prepending).  The fixpoint iteration is seeded from these
+            warm_start: a previously simulated, similar configuration's
+                outcome (e.g. the same announcement set without
+                prepending), or its best routes.  An outcome of this
+                simulator seeds from its route columns without building
+                :class:`Route` objects; otherwise its ``routes`` are
+                read.  The fixpoint iteration is seeded from these
                 routes instead of the empty state, which typically cuts
                 the number of Gauss-Seidel passes substantially.  Seeded
                 routes through links the new configuration does not
@@ -239,6 +329,9 @@ class RoutingSimulator:
             self._compiled = CompiledTopology.compile(
                 self.graph, self.origin, self.policy, self._visit_order
             )
+        if isinstance(warm_start, RoutingOutcome):
+            columns = warm_start.columns
+            warm_start = columns if columns is not None else warm_start.routes
         return self._compiled.propagate(
             config, warm_start, self.max_passes, self.strict,
             self._known_ases,

@@ -23,8 +23,9 @@ path fast three ways:
 3. **Warm starts** — a configuration that differs from an
    already-computed one only by prepending/poisoning/communities (same
    announcement set) or by dropped links (subset of all links) seeds its
-   fixpoint from that *parent* outcome's routes instead of the empty
-   state, cutting Gauss-Seidel passes on the long prepend/poison phases.
+   fixpoint from that *parent* outcome's route columns instead of the
+   empty state, cutting Gauss-Seidel passes on the long prepend/poison
+   phases.
 
 Determinism: the warm-start parent of a configuration is a pure function
 of the configuration itself (never of scheduling order or cache
@@ -56,9 +57,11 @@ from ..faults.injection import FaultAction, FaultInjector
 from ..faults.resilience import CircuitBreaker, RetryPolicy
 from ..obs.tracing import TraceContext, _derive_id as _derive_span_id
 
-#: Default bound on memoized outcomes.  An outcome holds one route per
-#: covered AS, so the default comfortably fits the paper's 705-config
-#: schedule on paper-scale topologies while bounding worst-case memory.
+#: Default bound on memoized outcomes.  An outcome holds five per-AS
+#: route columns over the compiled index (one list slot per AS plus one
+#: AS-path tuple per routed AS, no ``Route`` objects), so the default
+#: comfortably fits the paper's 705-config schedule on paper-scale
+#: topologies while bounding worst-case memory.
 DEFAULT_CACHE_SIZE = 4096
 
 ConfigKey = Tuple
@@ -236,7 +239,7 @@ def _simulate_resolved(
         )
         store(parent_key, parent_outcome)
         fixpoints += parent_fixpoints
-    outcome = simulator.simulate(config, warm_start=parent_outcome.routes)
+    outcome = simulator.simulate(config, warm_start=parent_outcome)
     saved = max(0, parent_outcome.passes - outcome.passes)
     return outcome, fixpoints + 1, 1, saved
 

@@ -20,7 +20,7 @@ import itertools
 import weakref
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Optional
+from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from ..topology.arrays import AdjacencyArrays, adjacency_arrays, asn_positions
 from ..topology.graph import ASGraph
 from ..topology.peering import OriginNetwork
 from ..topology.relationships import Relationship
-from ..types import path_without_prepending
+from ..types import ASN, ASPath, path_without_prepending
 
 
 @dataclass(frozen=True)
@@ -110,6 +110,42 @@ def _compliance_table(graph: ASGraph) -> _ComplianceTable:
     return table
 
 
+def _routed(
+    outcome: RoutingOutcome, table: _ComplianceTable
+) -> Tuple[np.ndarray, List[ASN], Iterable[Relationship], List[ASPath]]:
+    """The routed ASes' positions in ``table``, next hops, classes, paths.
+
+    Raises:
+        TopologyError: if a routed AS is not in the table's graph.
+    """
+    columns = outcome.columns
+    if columns is not None and columns.topology.asns is table.arrays.asns:
+        # Simulated on this graph version: the columns' dense index is
+        # the table's, so the routed rows are the positions.
+        rows = columns.rows()
+        return (
+            np.array(rows, dtype=np.int64),
+            list(map(columns.learned_from.__getitem__, rows)),
+            map(columns.relationship.__getitem__, rows),
+            list(map(columns.path.__getitem__, rows)),
+        )
+    routes = outcome.routes
+    holders = asn_positions(
+        table.asns, np.fromiter(routes, np.int64, len(routes))
+    )
+    if len(holders) and holders.min() < 0:
+        index = table.arrays.index
+        missing = next(asn for asn in routes if asn not in index)
+        raise TopologyError(f"AS {missing} not in topology")
+    values = list(routes.values())
+    return (
+        holders,
+        list(map(attrgetter("learned_from"), values)),
+        map(attrgetter("relationship"), values),
+        list(map(attrgetter("as_path"), values)),
+    )
+
+
 def policy_compliance(
     outcome: RoutingOutcome,
     graph: ASGraph,
@@ -124,10 +160,11 @@ def policy_compliance(
     dataset.  Path lengths are compared with prepending collapsed — the
     inflation the origin injected is not the AS's own choice.
 
-    The audit runs on integer arrays: one pass over ``outcome.routes``
-    fills per-AS next hop, learned relationship and collapsed path
-    length, and per-edge masks over the graph's cached CSR table
-    (:class:`_ComplianceTable`) are reduced per AS with ``reduceat``.
+    The audit runs on integer arrays: the outcome's route columns (see
+    :func:`_routed`; no ``Route`` objects) fill per-AS next hop, learned
+    relationship and collapsed path length, and per-edge masks over the
+    graph's cached CSR table (:class:`_ComplianceTable`) are reduced per
+    AS with ``reduceat``.
 
     Args:
         outcome: the routing outcome to audit.
@@ -140,16 +177,10 @@ def policy_compliance(
         TopologyError: if a routed AS is not in ``graph``.
     """
     table = _compliance_table(graph)
-    routes = outcome.routes
-    count = len(routes)
+    holders, next_hops, relationships, paths = _routed(outcome, table)
+    count = len(holders)
     n = len(table.asns)
     index = table.arrays.index
-    holders = asn_positions(table.asns, np.fromiter(routes, np.int64, count))
-    if count and holders.min() < 0:
-        missing = next(asn for asn in routes if asn not in index)
-        raise TopologyError(f"AS {missing} not in topology")
-    values = list(routes.values())
-    paths = list(map(attrgetter("as_path"), values))
     lengths = np.fromiter(map(len, paths), np.int64, count)
     flat = np.fromiter(
         itertools.chain.from_iterable(paths), np.int64, int(lengths.sum())
@@ -165,13 +196,10 @@ def policy_compliance(
     routed[holders] = True
     next_hop = np.full(n, -1, dtype=np.int64)
     next_hop[holders] = asn_positions(
-        table.asns,
-        np.fromiter(map(attrgetter("learned_from"), values), np.int64, count),
+        table.asns, np.array(next_hops, dtype=np.int64)
     )
     learned = np.zeros(n, dtype=np.int64)
-    learned[holders] = np.fromiter(
-        map(attrgetter("relationship"), values), np.int64, count
-    )
+    learned[holders] = np.fromiter(relationships, np.int64, count)
     length = np.zeros(n, dtype=np.int64)
     length[holders] = lengths - np.bincount(
         owner_of_hop[repeat], minlength=count
@@ -275,12 +303,12 @@ class CatchmentPredictor:
         """Fraction of ASes whose predicted catchment matches reality."""
         compared = 0
         correct = 0
-        for asn, route in actual.routes.items():
-            predicted_route = predicted.routes.get(asn)
-            if predicted_route is None:
+        for asn in actual.covered_ases:
+            predicted_link = predicted.catchment_of(asn)
+            if predicted_link is None:
                 continue
             compared += 1
-            if predicted_route.link_id == route.link_id:
+            if predicted_link == actual.catchment_of(asn):
                 correct += 1
         return PredictionAccuracy(
             ases_compared=compared,

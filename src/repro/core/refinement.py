@@ -142,8 +142,7 @@ class LargeClusterSplitter:
         excluded.update(link.provider for link in self.origin.links)
         usage: Dict[ASN, int] = {}
         for member in cluster:
-            route = outcome.route(member)
-            if route is None:
+            if outcome.catchment_of(member) is None:
                 continue
             # Walk the first two upstream hops: severing either can split
             # the cluster — members pick different alternates, or (with

@@ -81,9 +81,9 @@ class BGPCollectorSet:
         """
         observations: Dict[ASN, ASPath] = {}
         for vantage in self.vantages:
-            route = outcome.route(vantage)
-            if route is not None:
-                observations[vantage] = (vantage,) + route.as_path
+            path = outcome.as_path(vantage)
+            if path is not None:
+                observations[vantage] = (vantage,) + path
         return observations
 
     def observed_paths(self, outcome: RoutingOutcome) -> List[ASPath]:

@@ -204,8 +204,12 @@ class OutcomeTracer:
         random_unit = rng.random
         measured_as = probe_as
         if params.path_error_rate and random_unit() < params.path_error_rate:
-            neighbors = sorted(engine.graph.neighbors(probe_as))
-            neighbors = [n for n in neighbors if n in self.outcome.routes]
+            catchment_of = self.outcome.catchment_of
+            neighbors = [
+                n
+                for n in sorted(engine.graph.neighbors(probe_as))
+                if catchment_of(n) is not None
+            ]
             if neighbors:
                 measured_as = rng.choice(neighbors)
         as_path = self._forwarding_path(measured_as)
@@ -274,11 +278,11 @@ class OutcomeTracer:
         fork_as = as_path[fork_index]
         prefix = as_path[: fork_index + 1]
         default_next = as_path[fork_index + 1]
-        routes = self.outcome.routes
+        catchment_of = self.outcome.catchment_of
         neighbors = [
             neighbor
             for neighbor in sorted(self.engine.graph.neighbors(fork_as))
-            if neighbor != default_next and neighbor in routes
+            if neighbor != default_next and catchment_of(neighbor) is not None
         ]
         rng.shuffle(neighbors)
         for neighbor in neighbors:

@@ -77,16 +77,17 @@ class VerfploeterProber:
         route, which is precisely the catchment definition.
         """
         assignment: Dict[ASN, LinkId] = {}
-        for asn, route in outcome.routes.items():
+        for asn, link in outcome.link_assignment().items():
             if asn == self.origin_asn:
                 continue
             if self.is_responsive(asn):
-                assignment[asn] = route.link_id
+                assignment[asn] = link
         return assignment
 
     def coverage(self, outcome: RoutingOutcome) -> float:
         """Fraction of routed ASes the sweep observes."""
-        routed = [asn for asn in outcome.routes if asn != self.origin_asn]
+        origin_asn = self.origin_asn
+        routed = [asn for asn in outcome.covered_ases if asn != origin_asn]
         if not routed:
             return 0.0
         return sum(1 for asn in routed if self.is_responsive(asn)) / len(routed)

@@ -9,7 +9,7 @@ equivalence tests in ``test_bgp_indexed.py`` and the 75k-AS engine
 bench compare the production simulator against it field for field.
 """
 
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.bgp.announcement import AnnouncementConfig
 from repro.bgp.route import Route, stable_tiebreak
@@ -29,9 +29,11 @@ class ReferenceSimulator(RoutingSimulator):
     def simulate(
         self,
         config: AnnouncementConfig,
-        warm_start: Optional[Mapping[ASN, Route]] = None,
+        warm_start: Union[RoutingOutcome, Mapping[ASN, Route], None] = None,
     ) -> RoutingOutcome:
         self._validate_config(config)
+        if isinstance(warm_start, RoutingOutcome):
+            warm_start = warm_start.routes
         return self._simulate_legacy(config, warm_start)
 
     def _simulate_legacy(

@@ -14,13 +14,14 @@ communities) and both must agree on everything observable.
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
 from repro.bgp.announcement import AnnouncementConfig, anycast_all
 from repro.bgp.indexed import CompiledTopology, uncompilable_overrides
 from repro.bgp.policy import PolicyModel
-from repro.bgp.simulator import RoutingSimulator
+from repro.bgp.simulator import RoutingOutcome, RoutingSimulator
 from repro.core.engine import SimulationEngine
 from repro.core.pipeline import build_testbed
 from repro.errors import SimulationError
@@ -104,8 +105,15 @@ def test_indexed_equals_legacy_on_random_configs(seed):
         outcome_l = legacy.simulate(config)
         assert_outcomes_identical(outcome_i, outcome_l)
         if previous is not None:
+            # Seeded from a parent's route columns (a fresh copy: the
+            # comparisons above made ``previous`` dict-backed) and from
+            # its Route objects.
+            parent = indexed.simulate(previous.config)
+            warm_c = indexed.simulate(config, warm_start=parent)
+            assert parent.columns is not None
             warm_i = indexed.simulate(config, warm_start=previous.routes)
             warm_l = legacy.simulate(config, warm_start=previous.routes)
+            assert_outcomes_identical(warm_c, warm_l)
             assert_outcomes_identical(warm_i, warm_l)
             # Warm or cold, the fixpoint is the same stable state.
             assert warm_i.routes == outcome_i.routes
@@ -247,6 +255,12 @@ def test_warm_start_bit_identical_across_prepend_deltas(simulator_cls):
     Gauss-Seidel iteration into a *different* stable state than a cold
     start reaches.  The stale-tail seed filter discards those seeds, so
     warm and cold runs must now agree bit-for-bit.
+
+    Every warm start is also run several ways — seeded from the parent
+    outcome itself (its route columns on the compiled core), from its
+    ``routes`` mapping, and by the reference sweep — over prepend,
+    poison and no-export deltas and from a parent cut off by
+    ``max_passes``; all must agree field for field.
     """
     for seed in range(6):
         testbed = build_testbed(
@@ -258,10 +272,13 @@ def test_warm_start_bit_identical_across_prepend_deltas(simulator_cls):
             num_vantages=5,
             num_probes=10,
         )
-        simulator = simulator_cls(
-            testbed.topology.graph, testbed.origin, testbed.policy
+        graph, origin = testbed.topology.graph, testbed.origin
+        simulator = simulator_cls(graph, origin, testbed.policy)
+        reference = ReferenceSimulator(graph, origin, testbed.policy)
+        stopped_early = simulator_cls(
+            graph, origin, testbed.policy, max_passes=1
         )
-        links = testbed.origin.link_ids
+        links = origin.link_ids
         base = AnnouncementConfig(announced=frozenset(links))
         base_outcome = simulator.simulate(base)
         rng = random.Random(seed + 7)
@@ -274,12 +291,59 @@ def test_warm_start_bit_identical_across_prepend_deltas(simulator_cls):
                 prepend_count=rng.choice([1, 2, 4]),
             )
             cold = simulator.simulate(delta)
-            warm = simulator.simulate(delta, warm_start=base_outcome.routes)
+            warm = _warm_every_way(simulator, reference, base, delta)
             assert warm.warm_started and not cold.warm_started
             assert warm.routes == cold.routes
             assert warm.catchments == cold.catchments
             # Warm starts save work but never change the answer.
             assert warm.passes <= cold.passes
+        assert base_outcome.routes  # seeding never consumed the parent
+
+        victims = sorted(graph.ases - {origin.asn})
+        link = rng.choice(links)
+        neighbors = sorted(
+            set(graph.neighbors(origin.provider_of(link))) - {origin.asn}
+        )
+        for delta in (
+            AnnouncementConfig(
+                announced=base.announced,
+                poisoned={link: frozenset(rng.sample(victims, 2))},
+            ),
+            AnnouncementConfig(
+                announced=base.announced,
+                no_export={link: frozenset(neighbors[:2])},
+            ),
+        ):
+            warm = _warm_every_way(simulator, reference, base, delta)
+            assert warm.warm_started
+
+        assert not stopped_early.simulate(base).converged
+        _warm_every_way(simulator, reference, base, delta, stopped_early)
+
+
+def _warm_every_way(simulator, reference, parent_config, config, parents=None):
+    """Warm-start ``config`` from ``parent_config``'s outcome every way.
+
+    ``parents`` (default ``simulator``) computes the parent outcome.  The
+    outcome seeded from the parent outcome itself is checked against the
+    ones seeded from its ``routes`` mapping, by the reference sweep and
+    by a second simulator (whose compiled index the columns are not
+    over), then returned.
+    """
+    parents = parents or simulator
+    parent = parents.simulate(parent_config)
+    parent_routes = parents.simulate(parent_config).routes
+    from_outcome = simulator.simulate(config, warm_start=parent)
+    from_routes = simulator.simulate(config, warm_start=parent_routes)
+    from_reference = reference.simulate(config, warm_start=parent_routes)
+    other = RoutingSimulator(simulator.graph, simulator.origin, simulator.policy)
+    from_other = other.simulate(config, warm_start=parent)
+    # The compiled core seeded from the columns, not from .routes.
+    assert (parent.columns is None) == isinstance(parents, ReferenceSimulator)
+    assert_outcomes_identical(from_outcome, from_routes)
+    assert_outcomes_identical(from_outcome, from_reference)
+    assert_outcomes_identical(from_outcome, from_other)
+    return from_outcome
 
 
 def test_compiled_topology_direct_use():
@@ -296,3 +360,87 @@ def test_compiled_topology_direct_use():
         config, None, simulator.max_passes, False, topology.graph.ases
     )
     assert_outcomes_identical(outcome, simulator.simulate(config))
+
+
+def _hand_built(outcome):
+    """A dict-backed copy of ``outcome`` holding its Route objects."""
+    return RoutingOutcome(
+        config=outcome.config,
+        routes=outcome.routes,
+        catchments=outcome.catchments,
+        passes=outcome.passes,
+        decision_changes=outcome.decision_changes,
+        converged=outcome.converged,
+        origin_asn=outcome.origin_asn,
+        known_ases=outcome.known_ases,
+        warm_started=outcome.warm_started,
+    )
+
+
+def test_pickled_outcome_is_the_route_object_form(small_testbed):
+    """Pins the pool wire format: an outcome over route columns pickles to
+    exactly the bytes of an outcome holding the same Route objects, and
+    an unpickled outcome keeps the routes it arrived with.
+
+    (Re-pickling an unpickled outcome is compared with the Route-object
+    form of that same clone, not with the first wire bytes: unpickling
+    rebuilds each catchment frozenset by insertion, which can lay its
+    table out — and so iterate it — in a different order.)"""
+    import pickle
+
+    from repro.core.pipeline import SpoofTracker
+
+    configs = SpoofTracker(small_testbed).schedule[:12]
+    with SimulationEngine(small_testbed.simulator) as engine:
+        outcomes = engine.simulate_many(configs)
+    with SimulationEngine(small_testbed.simulator) as engine:
+        twins = engine.simulate_many(configs)
+    assert any(outcome.warm_started for outcome in outcomes)
+    for outcome, twin in zip(outcomes, twins):
+        for protocol in (pickle.DEFAULT_PROTOCOL, pickle.HIGHEST_PROTOCOL):
+            wire = pickle.dumps(outcome, protocol=protocol)
+            assert outcome.columns is not None  # pickling left it as is
+            assert wire == pickle.dumps(_hand_built(twin), protocol=protocol)
+            clone = pickle.loads(wire)
+            assert clone.columns is None and clone.routes == twin.routes
+            assert clone.__getstate__()["routes"] is clone.routes
+            assert pickle.dumps(clone, protocol=protocol) == pickle.dumps(
+                _hand_built(clone), protocol=protocol
+            )
+
+
+def test_column_accessors_match_route_objects():
+    """Every per-AS accessor answers the same from the route columns as
+    from the Route objects, including on a non-converged outcome."""
+    topology = _fresh_topology(seed=41)
+    origin = attach_origin(topology, num_links=4, seed=41)
+    policy = PolicyModel(topology.graph, seed=5)
+    rng = random.Random(41)
+    for max_passes in (1, 60):
+        simulator = RoutingSimulator(
+            topology.graph, origin, policy, max_passes=max_passes
+        )
+        for _ in range(6):
+            config = _random_config(rng, topology.graph, origin)
+            outcome = simulator.simulate(config)
+            routes = _hand_built(simulator.simulate(config))
+            assert outcome.columns is not None and routes.columns is None
+            assert list(outcome.covered_ases) == list(routes.covered_ases)
+            assert list(outcome.link_assignment().items()) == list(
+                routes.link_assignment().items()
+            )
+            for asn in sorted(topology.graph.ases) + [-1]:
+                assert outcome.route(asn) == routes.route(asn)
+                assert outcome.catchment_of(asn) == routes.catchment_of(asn)
+                assert outcome.next_hop(asn) == routes.next_hop(asn)
+                assert outcome.as_path(asn) == routes.as_path(asn)
+                try:
+                    expected = routes.forwarding_path(asn)
+                except SimulationError as error:
+                    with pytest.raises(SimulationError, match=re.escape(str(error))):
+                        outcome.forwarding_path(asn)
+                else:
+                    assert outcome.forwarding_path(asn) == expected
+            assert outcome.columns is not None  # nothing built .routes
+            assert outcome.routes == routes.routes
+            assert outcome.columns is None  # now dict-backed

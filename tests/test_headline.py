@@ -56,3 +56,26 @@ class TestRendering:
             [HeadlineMetric(name="x", paper="1", measured="2")]
         )
         assert "x" in text and "1" in text and "2" in text
+
+
+def test_evaluation_builds_no_route_objects(small_testbed, monkeypatch):
+    """The headline path (schedule, warm starts, Fig. 9 compliance,
+    clustering, schedulers) reads route columns only: it must not build
+    a single Route object."""
+    from repro.bgp.route import Route
+
+    built = []
+    construct = Route.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        construct(self, *args, **kwargs)
+
+    monkeypatch.setattr(Route, "__init__", counting_init)
+    run = EvaluationRun(testbed=small_testbed, max_configs=60)
+    headline_metrics(run, num_random_sequences=5, schedule_horizon=5)
+    assert run.engine.stats.warm_starts > 0 and run.compliance
+    assert built == []
+    # The counter does see Route objects once someone asks for them.
+    outcome = run.engine.simulate(run.schedule[0])
+    assert len(outcome.routes) == len(built) > 0
