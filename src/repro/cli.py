@@ -494,7 +494,7 @@ def _cmd_live(args: argparse.Namespace) -> int:
     if args.resume:
         # Resumed services rebuild mid-run state; the premeasure span and
         # controller counters are gone, so tracing starts fresh runs only.
-        service = load_checkpoint(args.resume, workers=args.workers)
+        service = load_checkpoint(args.resume)
     else:
         obs = _make_obs(args, "live")
         log = _logbook_for(args, obs)
@@ -550,7 +550,6 @@ def _cmd_live(args: argparse.Namespace) -> int:
         service = LiveTracebackService(
             scenario=scenario,
             spec=spec,
-            workers=args.workers,
             injector=injector,
             obs=obs,
         )
@@ -700,7 +699,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         spec,
         events=events,
         obs=obs,
-        workers=args.workers,
         checkpoint_dir=args.checkpoint_dir or "",
         injector_factory=injector_factory,
         flight_dir=args.flight_dir or "",
@@ -812,7 +810,6 @@ def _cmd_soak(args: argparse.Namespace) -> int:
     runner = SoakRunner(
         spec,
         checkpoint_dir=args.checkpoint_dir,
-        workers=args.workers,
         obs=obs,
         verify=not args.no_verify,
         flight_dir=args.flight_dir or "",
@@ -972,7 +969,7 @@ def _cmd_dash(args: argparse.Namespace) -> int:
     params = replace(SCALES[args.scale], seed=args.seed)
     spec = TestbedSpec(seed=args.seed, topology_params=params)
     service = LiveTracebackService(
-        scenario=scenario, spec=spec, workers=args.workers, obs=obs
+        scenario=scenario, spec=spec, obs=obs
     )
     try:
         service.run()
@@ -1350,7 +1347,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="suppress rolling per-window progress on stderr",
     )
-    add_workers(live)
     add_fault_plan(live)
     add_obs_options(live)
     live.set_defaults(func=_cmd_live)
@@ -1453,7 +1449,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="suppress rolling per-window progress on stderr",
     )
-    add_workers(fleet)
     add_fault_plan(fleet)
     add_obs_options(fleet)
     fleet.set_defaults(func=_cmd_fleet)
@@ -1597,7 +1592,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=64.0,
         help="RSS leak budget in MiB per epoch across the campaign",
     )
-    add_workers(soak)
     add_obs_options(soak)
     soak.set_defaults(func=_cmd_soak)
 
@@ -1698,7 +1692,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-configs", type=int, default=6,
         help="replay mode: truncate the schedule",
     )
-    add_workers(dash)
     dash.set_defaults(func=_cmd_dash)
 
     timeline = subparsers.add_parser(

@@ -12,8 +12,8 @@ path fast three ways:
    :mod:`multiprocessing` pool.  Each worker reconstructs the
    :class:`~repro.bgp.simulator.RoutingSimulator` exactly once, in the
    pool initializer, from a picklable testbed spec (or from the pickled
-   simulator itself when no spec is available); results stream back in
-   schedule order.
+   simulator itself when no spec is available); misses go out in
+   batches and results return in the batch's order.
 2. **Memoization** — outcomes are cached in an LRU keyed by the
    *canonical* form of the configuration
    (:meth:`~repro.bgp.announcement.AnnouncementConfig.key`, which
@@ -95,10 +95,8 @@ class EngineStats:
             parent's cold pass count is the stand-in for what the child
             would have cost cold.
         wall_time: seconds spent inside :meth:`SimulationEngine.simulate`
-            / :meth:`SimulationEngine.simulate_many` /
-            :meth:`SimulationEngine.iter_simulate`.  Measured with the
-            monotonic clock over disjoint windows — consumer time between
-            ``iter_simulate`` yields is never attributed to the engine.
+            / :meth:`SimulationEngine.simulate_many`, measured with the
+            monotonic clock.
         queue_wait: seconds of ``wall_time`` spent blocked waiting on
             worker-pool results (0 in serial runs).
         redundant_parent_sims: physical warm-start-parent fixpoints run
@@ -274,7 +272,6 @@ def _worker_simulate(
         AnnouncementConfig,
         Optional[FaultAction],
         Tuple[Tuple[ConfigKey, RoutingOutcome], ...],
-        Optional[Tuple],
     ]
 ) -> Tuple[
     int,
@@ -283,7 +280,7 @@ def _worker_simulate(
     int,
     int,
     Tuple[Tuple[ConfigKey, RoutingOutcome], ...],
-    Optional[Dict],
+    float,
 ]:
     """Pool task: simulate one configuration in a worker process.
 
@@ -293,13 +290,8 @@ def _worker_simulate(
     process ships any already-cached ancestor with the task, and parents
     the worker had to simulate itself come back in the result so the
     main cache learns them — later batches hit instead of re-deriving.
-
-    When the engine is traced, the task carries a serialized
-    :class:`~repro.obs.tracing.TraceContext` plus a pre-assigned span
-    name/ordinal/charge: the worker mints the deterministic child span
-    record *here* (its identity was fixed before dispatch, only the
-    measured duration is local) and ships it back for grafting into the
-    main tracer — the span tree is identical at any worker count.
+    The measured simulation time comes back too: the main process mints
+    the task's span record from it when the engine is traced.
 
     A :class:`FaultAction` decided by the main process (chaos runs)
     executes *here*, at the site — raising an
@@ -309,7 +301,7 @@ def _worker_simulate(
     """
     assert _WORKER_STATE is not None, "worker initializer did not run"
     simulator, warm_start, parent_cache = _WORKER_STATE
-    index, config, action, parents, trace = item
+    index, config, action, parents = item
     for parent_key, parent_outcome in parents:
         parent_cache.setdefault(parent_key, parent_outcome)
     if action is not None:
@@ -328,16 +320,8 @@ def _worker_simulate(
         parent_cache.get,
         _store,
     )
-    span_record: Optional[Dict] = None
-    if trace is not None:
-        ctx_tuple, name, ordinal, count = trace
-        span_record = TraceContext.from_tuple(ctx_tuple).child_record(
-            name,
-            ordinal,
-            attrs={"configs": count},
-            duration_seconds=time.perf_counter() - sim_start,
-        )
-    return index, outcome, fixpoints, warms, saved, tuple(new_parents), span_record
+    duration = time.perf_counter() - sim_start
+    return index, outcome, fixpoints, warms, saved, tuple(new_parents), duration
 
 
 def _worker_simulate_batch(items: Tuple) -> Tuple:
@@ -378,29 +362,23 @@ class SimulationEngine:
         injector: optional chaos hook
             (:class:`~repro.faults.injection.FaultInjector`); None (the
             default) leaves the hot path untouched.
-        retry_policy: containment knobs — per-task timeout on the pool,
-            bounded serial retries with deterministic exponential backoff
-            for injected faults.  With batched dispatch the timeout
-            bounds one *batch*, not one configuration.
+        retry_policy: containment knobs — per-task timeout on the pool
+            (one task is one dispatched batch of
+            ``ceil(misses / (workers * 2))`` configurations), bounded
+            serial retries with deterministic exponential backoff for
+            injected faults.  The timeout also caps an injected hang
+            that runs in-process.
         breaker_threshold: consecutive pool failures after which the
             circuit opens and the engine stays serial.
-        dispatch_batch: configurations shipped to a worker per pool task
-            in :meth:`simulate_many`.  None (the default) auto-sizes to
-            ``ceil(misses / (workers * 2))`` — two waves per worker, so
-            dispatch overhead amortizes while stragglers still balance.
-            Set to 1 to restore one-task-per-configuration dispatch.
-            :meth:`iter_simulate` always dispatches per configuration:
-            its contract is streaming results as each one completes.
         tracer: optional :class:`~repro.obs.tracing.Tracer`.  When armed,
             each batch with cache misses opens a deterministic
             ``engine_batch`` span with per-miss ``simulate`` /
             ``warm_start`` child spans carrying the logical fixpoint
-            charge.  Children are minted in the worker processes (see
-            :class:`~repro.obs.tracing.TraceContext`) and grafted back,
-            with identities assigned from the scheduling-independent
-            miss structure — the resulting
-            :func:`~repro.obs.tracing.span_tree_signature` is identical
-            at any worker count.
+            charge.  Every child is minted in the main process (workers
+            return only their measured durations), with identities
+            assigned from the scheduling-independent miss structure — the
+            resulting :func:`~repro.obs.tracing.span_tree_signature` is
+            identical at any worker count.
 
     The engine is safe to share across every consumer of one testbed —
     sharing is the point: the splitter's baseline is the schedule's
@@ -428,18 +406,14 @@ class SimulationEngine:
         retry_policy: Optional[RetryPolicy] = None,
         breaker_threshold: int = 2,
         bus=None,
-        dispatch_batch: Optional[int] = None,
         tracer=None,
     ) -> None:
         if workers < 1:
             raise SimulationError("workers must be at least 1")
         if cache_size < 1:
             raise SimulationError("cache_size must be at least 1")
-        if dispatch_batch is not None and dispatch_batch < 1:
-            raise SimulationError("dispatch_batch must be at least 1")
         self.simulator = simulator
         self.workers = workers
-        self.dispatch_batch = dispatch_batch
         self.spec = spec
         self.warm_start = warm_start
         self.cache_size = cache_size
@@ -611,22 +585,10 @@ class SimulationEngine:
         )
         self.tracer.graft(records)
 
-    def _task_trace(
-        self, trace: Optional[Dict], key: ConfigKey
-    ) -> Optional[Tuple]:
-        """The wire-form trace element for one pool task (or None)."""
-        if trace is None:
-            return None
-        entry = trace["plan"].get(key)
-        if entry is None:
-            return None
-        name, ordinal, count = entry
-        return (trace["ctx"].as_tuple(), name, ordinal, count)
-
     def _stash_local_span(
         self, trace: Optional[Dict], key: ConfigKey, duration: float
     ) -> None:
-        """Mint in-process the record a worker would have shipped."""
+        """Mint a charged miss's child span record (once per key)."""
         entry = trace["plan"].get(key) if trace else None
         if entry is None or key in trace["records"]:
             return
@@ -637,12 +599,6 @@ class SimulationEngine:
             attrs={"configs": count},
             duration_seconds=duration,
         )
-
-    def _stash_worker_span(
-        self, trace: Optional[Dict], key: ConfigKey, record: Optional[Dict]
-    ) -> None:
-        if trace is not None and record is not None:
-            trace["records"].setdefault(key, record)
 
     def _publish_batch(self, before: "EngineStats") -> None:
         """Publish one ``engine_batch`` bus event for the stats delta
@@ -659,233 +615,6 @@ class SimulationEngine:
             worker_failures=delta.worker_failures,
             retries=delta.retries,
             wall_seconds=round(delta.wall_time, 6),
-        )
-
-    def iter_simulate(self, configs: Sequence[AnnouncementConfig]):
-        """Yield outcomes in schedule order *as they are computed*.
-
-        Unlike :meth:`simulate_many`, consumers see the first
-        configuration's catchments without waiting for the whole batch —
-        the contract the live attribution runtime depends on.  With
-        ``workers > 1`` the remaining misses keep simulating in the pool
-        while early results are consumed; outcomes and stats are identical
-        to :meth:`simulate_many` on the same batch.
-        """
-        configs = list(configs)
-        if self.workers == 1 or len(configs) <= 1:
-            for config in configs:
-                yield self.simulate(config)
-            return
-
-        start = time.perf_counter()
-        before = self.stats.copy() if self.bus is not None else None
-        self.stats.configs_requested += len(configs)
-        by_key: Dict[ConfigKey, RoutingOutcome] = {}
-        misses: List[Tuple[ConfigKey, AnnouncementConfig]] = []
-        pending = set()
-        keys: List[ConfigKey] = []
-        for config in configs:
-            key = config.key()
-            keys.append(key)
-            if key in by_key or key in pending:
-                self.stats.cache_hits += 1
-                continue
-            cached = self._cache_get(key)
-            if cached is not None:
-                self.stats.cache_hits += 1
-                by_key[key] = cached
-                continue
-            pending.add(key)
-            misses.append((key, config))
-
-        results = None
-        logical: Dict[ConfigKey, int] = {}
-        trace: Optional[Dict] = None
-        if misses:
-            logical = self._logical_fixpoints(misses)
-            trace = self._open_stream_trace(misses, logical)
-        if misses and not self.breaker.open:
-            pool = self._ensure_pool()
-            tasks = [
-                (
-                    i,
-                    config,
-                    self._action_for(key),
-                    self._parents_for_task(config),
-                    self._stream_task_trace(trace, key),
-                )
-                for i, (key, config) in enumerate(misses)
-            ]
-            results = pool.imap_unordered(_worker_simulate, tasks)
-        miss_configs = dict(misses)
-        self.stats.wall_time += time.perf_counter() - start
-
-        for key in keys:
-            while key not in by_key:
-                wait_start = time.perf_counter()
-                if results is not None:
-                    try:
-                        (
-                            index,
-                            outcome,
-                            fixpoints,
-                            warms,
-                            saved,
-                            new_parents,
-                            span_record,
-                        ) = self._next_result(results)
-                    except Exception as exc:
-                        # Broken pool mid-stream: drop it and finish the
-                        # outstanding misses serially (identical results).
-                        self._handle_pool_failure(repr(exc))
-                        results = None
-                        self.stats.wall_time += (
-                            time.perf_counter() - wait_start
-                        )
-                        continue
-                    waited = time.perf_counter() - wait_start
-                    self.stats.wall_time += waited
-                    self.stats.queue_wait += waited
-                    miss_key = misses[index][0]
-                    self._absorb_parents(new_parents)
-                    self._stash_stream_span(trace, miss_key, span_record)
-                    count = logical[miss_key]
-                    self.stats.configs_simulated += count
-                    self.stats.redundant_parent_sims += fixpoints - count
-                    if count > 0:
-                        self.stats.warm_starts += warms
-                        self.stats.passes_saved += saved
-                    self._cache_put(miss_key, outcome)
-                    by_key[miss_key] = outcome
-                else:
-                    already = self._cache_get(key)
-                    if already is not None:
-                        # Simulated en passant as a warm-start parent (or
-                        # absorbed from a worker before the pool broke).
-                        by_key[key] = already
-                        self._charge_cached(key, miss_configs[key], logical)
-                        self._stash_stream_span(trace, key, None)
-                        self.stats.wall_time += (
-                            time.perf_counter() - wait_start
-                        )
-                        continue
-                    sim_start = time.perf_counter()
-                    outcome, fixpoints, warms, saved = (
-                        self._simulate_resilient(key, miss_configs[key])
-                    )
-                    self._stash_stream_span(
-                        trace, key, None,
-                        duration=time.perf_counter() - sim_start,
-                    )
-                    self.stats.wall_time += time.perf_counter() - wait_start
-                    count = logical.get(key, fixpoints)
-                    self.stats.configs_simulated += count
-                    self.stats.redundant_parent_sims += fixpoints - count
-                    self.stats.warm_starts += warms
-                    self.stats.passes_saved += saved
-                    self._cache_put(key, outcome)
-                    by_key[key] = outcome
-            self._graft_stream_span(trace, key)
-            yield by_key[key]
-        if before is not None:
-            self._publish_batch(before)
-
-    def _open_stream_trace(
-        self,
-        misses: List[Tuple[ConfigKey, AnnouncementConfig]],
-        logical: Dict[ConfigKey, int],
-    ) -> Optional[Dict]:
-        """Per-miss ``engine_batch`` spans for the streaming path.
-
-        ``iter_simulate`` with one worker degenerates to one
-        :meth:`simulate` call per configuration — a single-miss
-        ``engine_batch`` span each.  The pooled path must mint the same
-        tree, so every charged miss gets its own batch span here
-        (ordinals consumed in batch order), and records are grafted only
-        when their configuration is *yielded* — an abandoned stream
-        grafts exactly what the serial path would have.
-        """
-        if self.tracer is None or not misses:
-            return None
-        parent = self.tracer.current
-        plan: Dict[ConfigKey, Dict] = {}
-        all_links = self.simulator.origin.link_ids
-        for key, config in misses:
-            count = logical[key]
-            if count == 0:
-                continue
-            ordinal = parent._child_ordinals.get("engine_batch", 0)
-            parent._child_ordinals["engine_batch"] = ordinal + 1
-            batch_id = _derive_span_id(
-                parent.span_id, "engine_batch", ordinal
-            )
-            name = "simulate"
-            if (
-                self.warm_start
-                and warm_start_parent(config, all_links) is not None
-            ):
-                name = "warm_start"
-            plan[key] = {
-                "ctx": TraceContext(
-                    parent_span_id=batch_id, run_name=self.tracer.root.name
-                ),
-                "parent_id": parent.span_id,
-                "name": name,
-                "count": count,
-            }
-        return {"plan": plan, "records": {}}
-
-    def _stream_task_trace(
-        self, trace: Optional[Dict], key: ConfigKey
-    ) -> Optional[Tuple]:
-        if trace is None:
-            return None
-        entry = trace["plan"].get(key)
-        if entry is None:
-            return None
-        return (entry["ctx"].as_tuple(), entry["name"], 0, entry["count"])
-
-    def _stash_stream_span(
-        self,
-        trace: Optional[Dict],
-        key: ConfigKey,
-        record: Optional[Dict],
-        duration: float = 0.0,
-    ) -> None:
-        """Hold a miss's span record until its configuration is yielded."""
-        if trace is None:
-            return
-        entry = trace["plan"].get(key)
-        if entry is None or key in trace["records"]:
-            return
-        if record is None:
-            record = entry["ctx"].child_record(
-                entry["name"],
-                0,
-                attrs={"configs": entry["count"]},
-                duration_seconds=duration,
-            )
-        trace["records"][key] = record
-
-    def _graft_stream_span(self, trace: Optional[Dict], key: ConfigKey) -> None:
-        """Graft a yielded miss's child + batch spans (child first)."""
-        if trace is None:
-            return
-        entry = trace["plan"].get(key)
-        record = trace["records"].pop(key, None) if entry else None
-        if record is None:
-            return
-        self.tracer.graft(
-            [
-                record,
-                {
-                    "span_id": entry["ctx"].parent_span_id,
-                    "parent_id": entry["parent_id"],
-                    "name": "engine_batch",
-                    "attrs": {"misses": 1},
-                    "duration_seconds": record.get("duration_seconds", 0.0),
-                },
-            ]
         )
 
     def _fault_ordinal(self, key: ConfigKey) -> int:
@@ -916,14 +645,19 @@ class SimulationEngine:
         times with deterministic exponential backoff (each attempt
         re-draws the fault decision, so sub-certain crash rates clear);
         a fault that survives the whole budget runs once more with
-        injection suppressed — progress is guaranteed.  Real simulator
+        injection suppressed — progress is guaranteed.  An injected hang
+        stalls at most ``retry_policy.task_timeout`` (when set), the
+        bound the pool enforces on its workers.  Real simulator
         exceptions propagate: they are bugs, not chaos.
         """
+        timeout = self.retry_policy.task_timeout
         attempt = 0
         while True:
             action = self._action_for(key, attempt)
             try:
                 if action is not None:
+                    if timeout is not None and action.delay_seconds > timeout:
+                        action = replace(action, delay_seconds=timeout)
                     action.execute()
                 return _simulate_resolved(
                     self.simulator,
@@ -1125,16 +859,15 @@ class SimulationEngine:
             return
         logical = self._logical_fixpoints(misses)
         pool = self._ensure_pool()
-        batch_size = self.dispatch_batch or max(
-            1, math.ceil(len(misses) / (self.workers * 2))
-        )
+        # Two waves per worker: dispatch overhead amortizes over each
+        # batch while stragglers still balance.
+        batch_size = max(1, math.ceil(len(misses) / (self.workers * 2)))
         tasks = [
             (
                 i,
                 config,
                 self._action_for(key),
                 self._parents_for_task(config),
-                self._task_trace(trace, key),
             )
             for i, (key, config) in enumerate(misses)
         ]
@@ -1155,11 +888,11 @@ class SimulationEngine:
                     warms,
                     saved,
                     new_parents,
-                    span_record,
+                    duration,
                 ) in group:
                     key = misses[index][0]
                     self._absorb_parents(new_parents)
-                    self._stash_worker_span(trace, key, span_record)
+                    self._stash_local_span(trace, key, duration)
                     count = logical[key]
                     self.stats.configs_simulated += count
                     self.stats.redundant_parent_sims += fixpoints - count

@@ -29,7 +29,8 @@ class RetryPolicy:
         task_timeout: per-task wall-clock cap in seconds when tasks run
             on a worker pool (None = wait forever).  A timeout counts as
             a worker failure: the pool is replaced and work resumes
-            serially, so one hung worker cannot stall a campaign.
+            serially, so one hung worker cannot stall a campaign.  The
+            serial path caps an injected hang at the same bound.
     """
 
     max_retries: int = 3

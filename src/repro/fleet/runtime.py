@@ -16,9 +16,9 @@ simultaneous spoofed-traffic attacks.  The runtime
   (no shard starves, quotas hold, ``max_active`` admission bounds how
   many live services exist at once — pending launches queue in
   fair-share order, the fleet's backpressure),
-* shares one :class:`~repro.core.engine.SimulationEngine` (LRU cache +
-  worker pool) per tenant across that tenant's shards, built lazily on
-  first admission,
+* shares one serial :class:`~repro.core.engine.SimulationEngine` (LRU
+  cache) per tenant across that tenant's shards, built lazily on first
+  admission,
 * contains shard crashes (scripted ``crash`` events or exceptions
   escaping a shard) and resumes from the shard's namespaced checkpoint,
 * and keeps one per-tenant :class:`~repro.obs.slo.SloWatchdog` fed by
@@ -146,7 +146,6 @@ class FleetRuntime:
             every launch, no control events).
         obs: shared observability bundle; shards and engines run under
             tenant/attack-tagged views of it.
-        workers: simulation workers per tenant engine.
         checkpoint_dir: directory for per-shard namespaced checkpoints
             ("" disables persistence; crash recovery then restarts
             shards from scratch).
@@ -184,7 +183,6 @@ class FleetRuntime:
         spec: FleetSpec,
         events: Optional[Sequence[FleetEvent]] = None,
         obs: Optional[Observability] = None,
-        workers: int = 1,
         checkpoint_dir: str = "",
         auto_resume: bool = True,
         max_resumes: int = DEFAULT_MAX_RESUMES,
@@ -197,7 +195,6 @@ class FleetRuntime:
     ) -> None:
         self.spec = spec
         self.obs = obs if obs is not None else Observability()
-        self.workers = workers
         self.checkpoint_dir = checkpoint_dir
         self.auto_resume = auto_resume
         self.max_resumes = max_resumes
@@ -289,7 +286,6 @@ class FleetRuntime:
             )
             engine = SimulationEngine(
                 testbed.simulator,
-                workers=self.workers,
                 spec=spec,
                 bus=bus,
                 injector=(
@@ -375,7 +371,7 @@ class FleetRuntime:
         """Recover a failed shard from its checkpoint (or from scratch)."""
         shard = self._shard(key)
         testbed, engine = self._tenant_resources(shard)
-        from_checkpoint = shard.resume(testbed, engine, workers=self.workers)
+        from_checkpoint = shard.resume(testbed, engine)
         self._publish(
             "resume", shard, from_checkpoint=from_checkpoint
         )
@@ -450,7 +446,7 @@ class FleetRuntime:
             self._pending.remove(key)
             shard = self.shards[key]
             testbed, engine = self._tenant_resources(shard)
-            shard.activate(testbed, engine, workers=self.workers)
+            shard.activate(testbed, engine)
             self._publish("admit", shard)
 
     def _runnable(self) -> List[ShardKey]:

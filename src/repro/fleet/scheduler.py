@@ -1,6 +1,6 @@
 """Fair-share dispatch of shard work across tenants.
 
-One engine pool per tenant serves every attack on that tenant, and one
+One engine per tenant serves every attack on that tenant, and one
 process serves every tenant — so *which shard gets the next unit of
 announcement-measurement work* is a policy decision, not an accident of
 iteration order.  :class:`FleetScheduler` makes it explicit and

@@ -352,7 +352,6 @@ def _candidate_paths(path: str, allow_rollback: bool) -> List[str]:
 
 def load_checkpoint(
     path: str,
-    workers: int = 1,
     allow_rollback: bool = True,
     engine=None,
     testbed=None,
@@ -369,9 +368,6 @@ def load_checkpoint(
 
     Args:
         path: checkpoint JSON path.
-        workers: simulation worker processes for the rebuilt engine (the
-            worker count is runtime configuration, not state — results
-            are identical either way).
         allow_rollback: when the primary document is unusable, fall back
             to rotated generations; the restored service has
             ``restored_via_rollback`` set so callers can account the
@@ -424,7 +420,7 @@ def load_checkpoint(
         # restored service go where this one was loaded from.
         scenario_payload["checkpoint_path"] = path
     service = LiveTracebackService.from_serializable(
-        payload, workers=workers, engine=engine, testbed=testbed, obs=obs
+        payload, engine=engine, testbed=testbed, obs=obs
     )
     service.restored_via_rollback = loaded_from != path
     service.checkpoint_migrated_from = migrated_from

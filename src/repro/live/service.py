@@ -297,7 +297,6 @@ class LiveTracebackService:
             scenario); required for checkpointing.
         testbed: pre-built testbed to reuse (must carry ``spec`` for
             checkpointing; defaults to ``spec.build()``).
-        workers: simulation worker processes for the pre-measurement.
         timeline: dwell-cost model (defaults to the paper's).
         injector: optional chaos hook driving volume-noise bursts,
             route-churn storms, checkpoint corruption, and simulation
@@ -310,9 +309,9 @@ class LiveTracebackService:
         engine: pre-built :class:`SimulationEngine` to run measurements
             through instead of constructing a private one.  The fleet
             runtime passes one shared engine per tenant so sibling
-            attacks on the same origin reuse its LRU cache and worker
-            pool; a shared engine is *not* closed by :meth:`close` (its
-            owner tears it down), and its stats span every consumer.
+            attacks on the same origin reuse its LRU cache; a shared
+            engine is *not* closed by :meth:`close` (its owner tears it
+            down), and its stats span every consumer.
     """
 
     def __init__(
@@ -320,7 +319,6 @@ class LiveTracebackService:
         scenario: Optional[ReplayScenario] = None,
         spec: Optional[TestbedSpec] = None,
         testbed: Optional[Testbed] = None,
-        workers: int = 1,
         timeline: Optional[CampaignTimeline] = None,
         injector: Optional[FaultInjector] = None,
         obs: Optional[Observability] = None,
@@ -346,19 +344,18 @@ class LiveTracebackService:
         self._owns_engine = engine is None
         self.engine = engine if engine is not None else SimulationEngine(
             self.testbed.simulator,
-            workers=workers,
             spec=self.spec,
             injector=injector,
             bus=self.obs.bus,
             tracer=self.obs.tracer,
         )
         # Pre-attack measurement: catchments of every scheduled
-        # configuration, streamed through the engine in schedule order.
+        # configuration, one engine call each in schedule order.
         with self.obs.phase("premeasure", configs=len(self.schedule)) as span:
             with self.obs.capture():
-                self._stale_outcomes: List[RoutingOutcome] = list(
-                    self.engine.iter_simulate(self.schedule)
-                )
+                self._stale_outcomes: List[RoutingOutcome] = [
+                    self.engine.simulate(c) for c in self.schedule
+                ]
             if span is not None:
                 span.set(
                     "configs_simulated", self.engine.stats.configs_simulated
@@ -425,9 +422,9 @@ class LiveTracebackService:
         self._checkpoint_ordinal = 0
         self.checkpoint_corruptions = 0
         self.restored_via_rollback = False
-        #: Rotation retention for saves (runtime configuration, like
-        #: ``workers`` — never serialized, so checkpoint bytes are
-        #: independent of how many generations the operator keeps).
+        #: Rotation retention for saves (runtime configuration — never
+        #: serialized, so checkpoint bytes are independent of how many
+        #: generations the operator keeps).
         self.checkpoint_keep = 1
         #: Original document version when this service was restored
         #: through a schema migration (None otherwise).
@@ -447,7 +444,7 @@ class LiveTracebackService:
         }
 
     def close(self) -> None:
-        """Release the simulation engine's worker pool.
+        """Close the simulation engine this service owns.
 
         A shared engine (one passed in by the fleet runtime) is left
         running — its owner closes it once every sibling shard is done.
@@ -969,7 +966,6 @@ class LiveTracebackService:
     def from_serializable(
         cls,
         payload: Mapping,
-        workers: int = 1,
         engine: Optional[SimulationEngine] = None,
         testbed: Optional[Testbed] = None,
         obs: Optional[Observability] = None,
@@ -1006,7 +1002,6 @@ class LiveTracebackService:
             scenario=scenario,
             spec=spec,
             testbed=testbed,
-            workers=workers,
             injector=injector,
             obs=obs,
             engine=engine,

@@ -22,7 +22,7 @@ import hashlib
 import json
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional
 
 from contextlib import contextmanager
 
@@ -69,29 +69,19 @@ class Span:
 
 @dataclass(frozen=True)
 class TraceContext:
-    """Span parentage serialized across a process boundary.
+    """Span parentage for records minted outside a ``with`` block.
 
-    The multiprocess simulation workers cannot share the main-process
-    :class:`Tracer`, but they do not need to: span identity is pure
-    structure (parent id | name | ordinal), so a worker only needs the
-    parent span id and the run name to mint the *same* child ids the
-    serial path would.  The context travels as a plain tuple inside the
-    task payload; workers call :meth:`child_record` with ordinals that
-    were assigned deterministically before dispatch, ship the records
-    back with their results, and the engine grafts them into the main
-    tracer via :meth:`Tracer.graft`.
+    Span identity is pure structure (parent id | name | ordinal), so the
+    parent span id and the run name are enough to mint the *same* child
+    ids :meth:`Tracer.span` would.  The simulation engine mints its
+    per-miss ``simulate``/``warm_start`` records this way with ordinals
+    assigned from the batch's logical structure, then adopts them via
+    :meth:`Tracer.graft` — whether a miss ran in-process or on a pool
+    worker, only its measured duration differs.
     """
 
     parent_span_id: str
     run_name: str = "run"
-
-    def as_tuple(self) -> Tuple[str, str]:
-        """Pickle-friendly wire form."""
-        return (self.parent_span_id, self.run_name)
-
-    @classmethod
-    def from_tuple(cls, value: Tuple[str, str]) -> "TraceContext":
-        return cls(parent_span_id=value[0], run_name=value[1])
 
     def child_record(
         self,
@@ -194,7 +184,7 @@ class Tracer:
             self._notify(self.root)
 
     def graft(self, records: Iterable[Mapping]) -> int:
-        """Adopt span records minted elsewhere (workers, other processes).
+        """Adopt span records minted outside a ``with`` block.
 
         Records must carry ids derived through the same
         ``parent|name|ordinal`` scheme (see :class:`TraceContext`) so

@@ -165,33 +165,6 @@ def test_engine_outcomes_identical_across_cores_and_workers():
                     assert_outcomes_identical(got, want)
 
 
-def test_engine_batched_dispatch_matches_per_task(small_testbed):
-    """dispatch_batch=1 (per-task) and auto batching agree exactly."""
-    from repro.core.pipeline import SpoofTracker
-
-    configs = SpoofTracker(small_testbed).schedule[:16]
-    with SimulationEngine(
-        small_testbed.simulator,
-        workers=2,
-        spec=small_testbed.spec,
-        dispatch_batch=1,
-    ) as per_task:
-        a = per_task.simulate_many(configs)
-        stats_a = per_task.stats.copy()
-    with SimulationEngine(
-        small_testbed.simulator, workers=2, spec=small_testbed.spec
-    ) as batched:
-        b = batched.simulate_many(configs)
-        stats_b = batched.stats.copy()
-    for got, want in zip(b, a):
-        assert_outcomes_identical(got, want)
-    # Logical accounting is scheduling-independent, batch size included.
-    assert stats_a.configs_simulated == stats_b.configs_simulated
-    assert stats_a.cache_hits == stats_b.cache_hits
-    assert stats_a.warm_starts == stats_b.warm_starts
-    assert stats_a.passes_saved == stats_b.passes_saved
-
-
 def test_overridden_policy_is_rejected():
     """A policy overriding accepts() cannot compile; construction fails
     with an error naming the overridden method."""

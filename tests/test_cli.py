@@ -30,9 +30,14 @@ class TestParser:
         assert {"small", "medium", "paper"} <= set(SCALES)
 
     def test_workers_registered_per_subcommand(self):
-        for command in ["figures", "track", "live", "headline", "dataset", "experiments"]:
+        for command in ["figures", "track", "headline", "dataset", "experiments"]:
             args = build_parser().parse_args([command, "--workers", "3"])
             assert args.workers == 3
+
+    def test_live_rejects_workers(self):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["live", "--workers", "3"])
+        assert excinfo.value.code == 2
 
     def test_live_defaults(self):
         args = build_parser().parse_args(["live"])

@@ -455,13 +455,12 @@ class TestObsServer:
 
 class TestConcurrentScrapes:
     def test_metrics_consistent_while_parallel_run_mutates(self, small_testbed):
-        """Scrapes during a --workers 2 live replay always parse, and
-        counter series never decrease between consecutive scrapes."""
+        """Scrapes during a live replay always parse, and counter series
+        never decrease between consecutive scrapes."""
         obs = Observability.for_run("live")
         service = LiveTracebackService(
             scenario=ReplayScenario(seed=5, max_configs=4, adaptive=False),
             testbed=small_testbed,
-            workers=2,
             obs=obs,
         )
         server = ObsServer(obs=obs, port=0).start()
